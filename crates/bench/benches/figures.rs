@@ -2,11 +2,14 @@
 //! so the standard command exercises the full experiment flow. For the
 //! full-window artifacts use the `experiments` binary.
 
-use arvi_bench::{fig5_tables, paper_tables, Fig6Data, Spec};
+use arvi_bench::{fig5_tables, paper_tables, Fig6Data, Run};
 use arvi_sim::{Depth, PredictorConfig};
 
 fn main() {
-    let spec = Spec::quick();
+    // `cargo bench` passes its own flags; the figures take only these.
+    let mut run = Run::from_args(&["--quick".to_string()], &[]).expect("valid flags");
+    run.progress = false;
+    let spec = run.spec;
     println!(
         "== regenerating paper artifacts (quick windows: {}k warm + {}k measured) ==\n",
         spec.warmup / 1000,
@@ -17,7 +20,7 @@ fn main() {
         println!("-- {title} --\n{}", table.to_text());
     }
 
-    let (fig5a, fig5b) = fig5_tables(spec, false);
+    let (fig5a, fig5b, _) = fig5_tables(&run).expect("every cell completes");
     println!(
         "-- Figure 5(a): load-branch fraction --\n{}",
         fig5a.to_text()
@@ -28,7 +31,7 @@ fn main() {
     );
 
     for depth in Depth::all() {
-        let data = Fig6Data::collect(depth, spec, false);
+        let (data, _) = Fig6Data::collect(&run, depth).expect("every cell completes");
         println!(
             "-- Figure 6 accuracy, {depth} --\n{}",
             data.accuracy_table().to_text()

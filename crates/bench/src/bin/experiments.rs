@@ -15,7 +15,7 @@
 //! attached and writes the merged per-`(workload, config)` rollup —
 //! the input for `obs_report`'s attribution diff. `--events-out` /
 //! `--metrics-out` stream structured sweep events (JSONL) and a
-//! Prometheus-style metrics snapshot from the resilient runner.
+//! Prometheus-style metrics snapshot from every sweep.
 //!
 //! Each workload is functionally emulated exactly once (per run — or
 //! once ever with `--trace-dir`), then every figure's grid replays the
@@ -23,10 +23,11 @@
 //! `--scenario`/`--scenario-file` flag switches the grids to the named
 //! synthetic scenarios instead.
 //!
-//! Any fault-tolerance flag switches the grids to the fault-isolated
-//! sweep runner: cell failures are reported at the end (exit code 3)
-//! instead of aborting, completed cells are journaled as they finish,
-//! and `--resume` completes an interrupted run from its journal.
+//! Every run is fault-isolated: cell failures are reported at the end
+//! (exit code 3, once every grid has finished) instead of aborting the
+//! run, `--journal` keeps completed cells as they finish, and `--resume`
+//! completes an interrupted run from its journal. An unknown flag or a
+//! malformed value exits 2.
 //!
 //! `--sample K:WARMUP:DETAIL` (or `stratified:K:WARMUP:DETAIL`) switches
 //! every grid to SMARTS-style interval sampling over the shared
@@ -34,10 +35,8 @@
 //! 95%-confidence-interval tables) — see the `fig5` docs.
 
 use arvi_bench::{
-    fig5_tables_over, fig5_tables_resilient, fig5_tables_sampled, grid, handle_list_flags,
-    maybe_obs_grid, maybe_obs_pass, paper_tables, resilience_from_args, sample_plan_from_args,
-    threads_from_args, trace_dir_from_args, workloads_from_args, Fig6Data, Spec, SweepIncomplete,
-    TraceSet,
+    fig5_tables, grid, handle_list_flags, maybe_obs_grid, maybe_obs_pass, paper_tables, Fig6Data,
+    Run, Workload,
 };
 use arvi_sim::{Depth, PredictorConfig};
 
@@ -46,142 +45,61 @@ fn main() {
     if handle_list_flags(&args) {
         return;
     }
-    let quick = args.iter().any(|a| a == "--quick");
-    let threads = threads_from_args(&args);
-    let trace_dir = trace_dir_from_args(&args);
-    let suite_mode = !args
-        .iter()
-        .any(|a| a == "--scenario" || a == "--scenario-file");
-    let workloads = workloads_from_args(&args);
-    let spec = if quick {
-        Spec::quick()
-    } else {
-        Spec::default()
-    };
+    // One recording per workload feeds fig5 and all three fig6 depths.
+    let run = Run::from_args(&args, &[]).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
 
     // The paper's configuration tables describe the benchmark-suite
     // evaluation; skip them when a scenario grid replaces the suite
     // (the `tables` binary prints them on demand).
-    if suite_mode {
+    if run.workloads == Workload::suite() {
         for (title, table) in paper_tables() {
             println!("== {title} ==\n{}\n", table.to_text());
         }
     }
 
-    let resilience = resilience_from_args(&args).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
-    let plan = sample_plan_from_args(&args).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
-
     // A failed grid reports every failed cell and exits 3 — after all
     // the other grids have run (and journaled), so one bad cell costs
     // one re-run with --resume, not the whole evaluation.
-    let mut incomplete: Vec<SweepIncomplete> = Vec::new();
+    let mut incomplete = Vec::new();
 
-    // One recording per workload feeds fig5 and all three fig6 depths.
-    let traces = TraceSet::record_resilient(
-        &workloads,
-        spec,
-        threads,
-        trace_dir.as_deref(),
-        resilience.as_ref(),
-    );
-
-    let fig5 = match (&plan, &resilience) {
-        (Some(plan), res) => {
-            match fig5_tables_sampled(&workloads, spec, plan, true, threads, &traces, res.as_ref())
-            {
-                Ok((fig5a, fig5b, ci)) => {
-                    println!(
-                        "== Figure 5 sampled estimates (plan {plan}): 95% confidence intervals ==\n{}",
-                        ci.to_text()
-                    );
-                    Some((fig5a, fig5b))
-                }
-                Err(e) => {
-                    incomplete.push(e);
-                    None
-                }
+    match fig5_tables(&run) {
+        Ok((fig5a, fig5b, ci)) => {
+            if let (Some(plan), Some(ci)) = (&run.plan, ci) {
+                println!(
+                    "== Figure 5 sampled estimates (plan {plan}): 95% confidence intervals ==\n{}",
+                    ci.to_text()
+                );
             }
+            println!(
+                "== Figure 5(a): fraction of load branches ==\n{}",
+                fig5a.to_text()
+            );
+            println!(
+                "== Figure 5(b): accuracy, calculated vs load branches (20-stage, ARVI current value) ==\n{}",
+                fig5b.to_text()
+            );
         }
-        (None, None) => Some(fig5_tables_over(
-            &workloads,
-            spec,
-            true,
-            threads,
-            Some(&traces),
-        )),
-        (None, Some(res)) => {
-            match fig5_tables_resilient(&workloads, spec, true, threads, Some(&traces), res) {
-                Ok(tables) => Some(tables),
-                Err(e) => {
-                    incomplete.push(e);
-                    None
-                }
-            }
-        }
-    };
-    if let Some((fig5a, fig5b)) = fig5 {
-        println!(
-            "== Figure 5(a): fraction of load branches ==\n{}",
-            fig5a.to_text()
-        );
-        println!(
-            "== Figure 5(b): accuracy, calculated vs load branches (20-stage, ARVI current value) ==\n{}",
-            fig5b.to_text()
-        );
+        Err(e) => incomplete.push(e),
     }
 
     let mut headlines = Vec::new();
     for depth in Depth::all() {
-        let data = match (&plan, &resilience) {
-            (Some(plan), res) => {
-                match Fig6Data::collect_sampled(
-                    &workloads,
-                    depth,
-                    spec,
-                    plan,
-                    true,
-                    threads,
-                    &traces,
-                    res.as_ref(),
-                ) {
-                    Ok((data, ci)) => {
-                        println!(
-                            "== Figure 6 sampled estimates, {depth} pipeline (plan {plan}): 95% confidence intervals ==\n{}",
-                            ci.to_text()
-                        );
-                        data
-                    }
-                    Err(e) => {
-                        incomplete.push(e);
-                        continue;
-                    }
+        let data = match Fig6Data::collect(&run, depth) {
+            Ok((data, ci)) => {
+                if let (Some(plan), Some(ci)) = (&run.plan, ci) {
+                    println!(
+                        "== Figure 6 sampled estimates, {depth} pipeline (plan {plan}): 95% confidence intervals ==\n{}",
+                        ci.to_text()
+                    );
                 }
+                data
             }
-            (None, None) => {
-                Fig6Data::collect_over(&workloads, depth, spec, true, threads, Some(&traces))
-            }
-            (None, Some(res)) => {
-                match Fig6Data::collect_resilient(
-                    &workloads,
-                    depth,
-                    spec,
-                    true,
-                    threads,
-                    Some(&traces),
-                    res,
-                ) {
-                    Ok(data) => data,
-                    Err(e) => {
-                        incomplete.push(e);
-                        continue;
-                    }
-                }
+            Err(e) => {
+                incomplete.push(e);
+                continue;
             }
         };
         println!(
@@ -208,21 +126,17 @@ fn main() {
 
     // The evaluation's anchor cell: 20-stage, ARVI current value.
     maybe_obs_pass(
-        &args,
-        &workloads,
+        run.obs.as_ref(),
+        &run.workloads,
         Depth::D20,
         PredictorConfig::ArviCurrent,
-        spec,
-        Some(&traces),
+        run.spec,
+        Some(&run.traces),
     );
     // The full evaluation grid, probed and merged (`--obs-grid`).
     maybe_obs_grid(
-        &args,
-        &grid(&workloads, &Depth::all(), &PredictorConfig::all()),
-        spec,
-        threads,
-        Some(&traces),
-        resilience.as_ref(),
+        &run,
+        &grid(&run.workloads, &Depth::all(), &PredictorConfig::all()),
     );
 
     if !incomplete.is_empty() {

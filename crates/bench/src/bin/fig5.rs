@@ -17,10 +17,10 @@
 //!
 //! Runs the benchmark suite by default; any `--scenario`/
 //! `--scenario-file` flag switches the grid to the named synthetic
-//! scenarios instead. Any fault-tolerance flag switches to the
-//! fault-isolated sweep runner: cell failures are reported (exit code
-//! 3) instead of aborting, and `--resume` completes an interrupted run
-//! from its journal.
+//! scenarios instead. Every run is fault-isolated: a failed cell is
+//! reported (exit code 3) instead of aborting the run, `--journal` keeps
+//! completed cells, and `--resume` completes an interrupted run from its
+//! journal. An unknown flag or a malformed value exits 2.
 //!
 //! `--sample K:WARMUP:DETAIL` (or `stratified:K:WARMUP:DETAIL`) switches
 //! every cell to SMARTS-style interval sampling over the shared
@@ -30,11 +30,7 @@
 //! 95% confidence intervals. Composes with the fault-tolerance flags
 //! (units are journaled and resumed individually).
 
-use arvi_bench::{
-    fig5_tables_over, fig5_tables_resilient, fig5_tables_sampled, grid, handle_list_flags,
-    maybe_obs_grid, maybe_obs_pass, resilience_from_args, sample_plan_from_args, threads_from_args,
-    trace_dir_from_args, workloads_from_args, Spec, TraceSet,
-};
+use arvi_bench::{fig5_tables, grid, handle_list_flags, maybe_obs_grid, maybe_obs_pass, Run};
 use arvi_sim::{Depth, PredictorConfig};
 
 fn main() {
@@ -42,58 +38,20 @@ fn main() {
     if handle_list_flags(&args) {
         return;
     }
-    let quick = args.iter().any(|a| a == "--quick");
-    let spec = if quick {
-        Spec::quick()
-    } else {
-        Spec::default()
-    };
-    let threads = threads_from_args(&args);
-    let trace_dir = trace_dir_from_args(&args);
-    let workloads = workloads_from_args(&args);
-    let resilience = resilience_from_args(&args).unwrap_or_else(|e| {
+    let run = Run::from_args(&args, &[]).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(2);
     });
-    let plan = sample_plan_from_args(&args).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
+    let (fig5a, fig5b, ci) = fig5_tables(&run).unwrap_or_else(|incomplete| {
+        eprintln!("{incomplete}");
+        std::process::exit(3);
     });
-    let traces = TraceSet::record_resilient(
-        &workloads,
-        spec,
-        threads,
-        trace_dir.as_deref(),
-        resilience.as_ref(),
-    );
-    let (fig5a, fig5b) = match (&plan, &resilience) {
-        (Some(plan), res) => {
-            match fig5_tables_sampled(&workloads, spec, plan, true, threads, &traces, res.as_ref())
-            {
-                Ok((fig5a, fig5b, ci)) => {
-                    println!(
-                        "== Sampled estimates (plan {plan}): 95% confidence intervals ==\n{}",
-                        ci.to_text()
-                    );
-                    (fig5a, fig5b)
-                }
-                Err(incomplete) => {
-                    eprintln!("{incomplete}");
-                    std::process::exit(3);
-                }
-            }
-        }
-        (None, None) => fig5_tables_over(&workloads, spec, true, threads, Some(&traces)),
-        (None, Some(res)) => {
-            match fig5_tables_resilient(&workloads, spec, true, threads, Some(&traces), res) {
-                Ok(tables) => tables,
-                Err(incomplete) => {
-                    eprintln!("{incomplete}");
-                    std::process::exit(3);
-                }
-            }
-        }
-    };
+    if let (Some(plan), Some(ci)) = (&run.plan, ci) {
+        println!(
+            "== Sampled estimates (plan {plan}): 95% confidence intervals ==\n{}",
+            ci.to_text()
+        );
+    }
     println!(
         "== Figure 5(a): fraction of load branches ==\n{}",
         fig5a.to_text()
@@ -104,20 +62,20 @@ fn main() {
     );
     // Figure 5(b)'s anchor cell: 20-stage, ARVI current value.
     maybe_obs_pass(
-        &args,
-        &workloads,
+        run.obs.as_ref(),
+        &run.workloads,
         Depth::D20,
         PredictorConfig::ArviCurrent,
-        spec,
-        Some(&traces),
+        run.spec,
+        Some(&run.traces),
     );
     // The figure's depth sweep, probed and merged (`--obs-grid`).
     maybe_obs_grid(
-        &args,
-        &grid(&workloads, &Depth::all(), &[PredictorConfig::ArviCurrent]),
-        spec,
-        threads,
-        Some(&traces),
-        resilience.as_ref(),
+        &run,
+        &grid(
+            &run.workloads,
+            &Depth::all(),
+            &[PredictorConfig::ArviCurrent],
+        ),
     );
 }

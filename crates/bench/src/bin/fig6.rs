@@ -18,21 +18,18 @@
 //!
 //! Runs the benchmark suite by default; any `--scenario`/
 //! `--scenario-file` flag switches the grid to the named synthetic
-//! scenarios instead. Any fault-tolerance flag switches to the
-//! fault-isolated sweep runner: cell failures are reported (exit code
-//! 3) instead of aborting, and `--resume` completes an interrupted run
-//! from its journal.
+//! scenarios instead. Every run is fault-isolated: a failed cell is
+//! reported (exit code 3) instead of aborting the run, `--journal` keeps
+//! completed cells, and `--resume` completes an interrupted run from its
+//! journal. A depth other than 20, 40 or 60, an unknown flag or a
+//! malformed value exits 2.
 //!
 //! `--sample K:WARMUP:DETAIL` (or `stratified:K:WARMUP:DETAIL`) switches
 //! every cell to SMARTS-style interval sampling over the shared
 //! recording (per-unit parallelism, journaled units, and an extra
 //! per-cell 95%-confidence-interval table) — see the `fig5` docs.
 
-use arvi_bench::{
-    grid, handle_list_flags, maybe_obs_grid, maybe_obs_pass, resilience_from_args,
-    sample_plan_from_args, threads_from_args, trace_dir_from_args, workloads_from_args, Fig6Data,
-    Spec, TraceSet,
-};
+use arvi_bench::{grid, handle_list_flags, maybe_obs_grid, maybe_obs_pass, Fig6Data, Run};
 use arvi_sim::{Depth, PredictorConfig};
 
 fn main() {
@@ -40,113 +37,25 @@ fn main() {
     if handle_list_flags(&args) {
         return;
     }
-    // First positional argument, skipping flag values (`--threads N`,
-    // `--trace-dir DIR`, `--scenario X`, `--scenario-file F`).
-    let value_flags = [
-        "--threads",
-        "--trace-dir",
-        "--scenario",
-        "--scenario-file",
-        "--journal",
-        "--fault-plan",
-        "--deadline-ms",
-        "--probe",
-        "--obs-out",
-        "--obs-grid",
-        "--trace-cycles",
-        "--top-sites",
-        "--events-out",
-        "--metrics-out",
-        "--sample",
-    ];
-    let mut positional = None;
-    let mut i = 0;
-    while i < args.len() {
-        if value_flags.contains(&args[i].as_str()) {
-            i += 2;
-            continue;
-        }
-        if !args[i].starts_with("--") && positional.is_none() {
-            positional = Some(args[i].as_str());
-        }
-        i += 1;
-    }
-    let depth = match positional {
+    let run = Run::from_args(&args, &["20", "40", "60"]).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
+    let depth = match run.positional.as_deref() {
         Some("40") => Depth::D40,
         Some("60") => Depth::D60,
         _ => Depth::D20,
     };
-    let quick = args.iter().any(|a| a == "--quick");
-    let spec = if quick {
-        Spec::quick()
-    } else {
-        Spec::default()
-    };
-
-    let threads = threads_from_args(&args);
-    let trace_dir = trace_dir_from_args(&args);
-    let workloads = workloads_from_args(&args);
-    let resilience = resilience_from_args(&args).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
+    let (data, ci) = Fig6Data::collect(&run, depth).unwrap_or_else(|incomplete| {
+        eprintln!("{incomplete}");
+        std::process::exit(3);
     });
-    let traces = TraceSet::record_resilient(
-        &workloads,
-        spec,
-        threads,
-        trace_dir.as_deref(),
-        resilience.as_ref(),
-    );
-    let plan = sample_plan_from_args(&args).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
-    let data = match (&plan, &resilience) {
-        (Some(plan), res) => {
-            match Fig6Data::collect_sampled(
-                &workloads,
-                depth,
-                spec,
-                plan,
-                true,
-                threads,
-                &traces,
-                res.as_ref(),
-            ) {
-                Ok((data, ci)) => {
-                    println!(
-                        "== Sampled estimates (plan {plan}): 95% confidence intervals ==\n{}",
-                        ci.to_text()
-                    );
-                    data
-                }
-                Err(incomplete) => {
-                    eprintln!("{incomplete}");
-                    std::process::exit(3);
-                }
-            }
-        }
-        (None, None) => {
-            Fig6Data::collect_over(&workloads, depth, spec, true, threads, Some(&traces))
-        }
-        (None, Some(res)) => {
-            match Fig6Data::collect_resilient(
-                &workloads,
-                depth,
-                spec,
-                true,
-                threads,
-                Some(&traces),
-                res,
-            ) {
-                Ok(data) => data,
-                Err(incomplete) => {
-                    eprintln!("{incomplete}");
-                    std::process::exit(3);
-                }
-            }
-        }
-    };
+    if let (Some(plan), Some(ci)) = (&run.plan, ci) {
+        println!(
+            "== Sampled estimates (plan {plan}): 95% confidence intervals ==\n{}",
+            ci.to_text()
+        );
+    }
     println!(
         "== Figure 6: prediction accuracy, {depth} pipeline ==\n{}",
         data.accuracy_table().to_text()
@@ -165,20 +74,16 @@ fn main() {
     );
     // The figure's headline cell at the chosen depth.
     maybe_obs_pass(
-        &args,
-        &workloads,
+        run.obs.as_ref(),
+        &run.workloads,
         depth,
         PredictorConfig::ArviCurrent,
-        spec,
-        Some(&traces),
+        run.spec,
+        Some(&run.traces),
     );
     // The figure's full grid, probed and merged (`--obs-grid`).
     maybe_obs_grid(
-        &args,
-        &grid(&workloads, &[depth], &PredictorConfig::all()),
-        spec,
-        threads,
-        Some(&traces),
-        resilience.as_ref(),
+        &run,
+        &grid(&run.workloads, &[depth], &PredictorConfig::all()),
     );
 }

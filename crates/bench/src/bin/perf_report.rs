@@ -20,10 +20,12 @@
 //! 4. **Sweep** — the quick Figure-6 grid replayed over shared traces,
 //!    asserted bit-identical to per-cell live emulation (the PR 2
 //!    guarantee), with the whole-sweep ns/inst.
-//! 5. **Resilient sweep** — the same grid through the fault-isolated
-//!    runner (`run_sweep_resilient`) with per-cell journaling on,
-//!    asserted bit-identical, reporting the fault-tolerance overhead
-//!    (catch_unwind + fingerprint + journal append per cell).
+//! 5. **Journaled sweep** — every sweep runs fault-isolated, so the
+//!    same grid through `run_sweep_resilient` with per-cell journaling
+//!    on, asserted bit-identical, measures what the journal costs
+//!    (fingerprint + journal append per cell). The JSON keeps its
+//!    `resilient_*` and `*_vs_strict_sweep` key names so the trend
+//!    history stays continuous.
 //! 6. **Probe overhead** — the PR 7 observability seam: the ARVI
 //!    machine timed probe-off (`NullProbe`, what every sweep runs) vs
 //!    with the zero-alloc `CounterProbe` attached vs the full obs stack
@@ -34,9 +36,9 @@
 //! 7. **Obs grid** — the PR 8 grid-scale telemetry pass: the quick
 //!    Figure-6 grid re-run through `run_obs_grid` with the full
 //!    counters + sites stack on every cell, reporting the whole-grid
-//!    probed ns/inst and the overhead vs the strict (probe-off)
-//!    replayed sweep, with the merged counter sums cross-checked
-//!    against the per-cell commit counts.
+//!    probed ns/inst and the overhead vs the probe-off replayed sweep,
+//!    with the merged counter sums cross-checked against the per-cell
+//!    commit counts.
 //! 8. **Sampled simulation** — the PR 9 interval-sampling path. An
 //!    honest error study: the 8-benchmark suite plus the 9 curated
 //!    synthetic scenarios (20-stage, ARVI current value), each cell
@@ -325,8 +327,12 @@ fn fig6_points() -> Vec<SweepPoint> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let threads = threads_from_args(&args);
-    let trace_dir = trace_dir_from_args(&args);
+    let (threads, trace_dir) = threads_from_args(&args)
+        .and_then(|threads| Ok((threads, trace_dir_from_args(&args)?)))
+        .unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        });
     let out_path = args
         .iter()
         .position(|a| a == "--out")
@@ -444,13 +450,13 @@ fn main() {
         "  replayed sweep {replay_s:.2} s ({sweep_ns:.0} ns/inst overall) vs emulated {emulated_s:.2} s; bit-identical"
     );
 
-    // 5. The same grid through the fault-isolated runner with per-cell
-    // journaling: what does crash-safety cost on the happy path?
+    // 5. The same grid with per-cell journaling on: what does the
+    // journal cost on the happy path?
     let journal_path =
         std::env::temp_dir().join(format!("arvi-perf-sweep-{}.journal", std::process::id()));
     std::fs::remove_file(&journal_path).ok();
     let res = Resilience::new().with_journal(&journal_path);
-    eprintln!("perf_report: same grid, fault-isolated + journaled (run_sweep_resilient)...");
+    eprintln!("perf_report: same grid, journaled (run_sweep_resilient)...");
     let t0 = Instant::now();
     let outcomes = run_sweep_resilient(&points, spec, threads, false, Some(&traces), &res);
     let resilient_s = t0.elapsed().as_secs_f64();
@@ -460,7 +466,7 @@ fn main() {
         assert_eq!(
             (e.window.cycles, e.window.committed),
             (r.window.cycles, r.window.committed),
-            "resilient sweep diverged from the strict sweep on {} / {}",
+            "journaled sweep diverged from the unjournaled sweep on {} / {}",
             e.name,
             e.config
         );
@@ -468,7 +474,7 @@ fn main() {
     std::fs::remove_file(&journal_path).ok();
     let resilient_overhead_pct = (resilient_s - replay_s) / replay_s * 100.0;
     eprintln!(
-        "  resilient sweep {resilient_s:.2} s vs strict {replay_s:.2} s \
+        "  journaled sweep {resilient_s:.2} s vs unjournaled {replay_s:.2} s \
          ({resilient_overhead_pct:+.1}% overhead); bit-identical"
     );
 
@@ -486,8 +492,8 @@ fn main() {
     );
 
     // 7. Grid-scale telemetry: the same quick fig6 grid through
-    // run_obs_grid (counters + sites on every cell) vs the strict
-    // probe-off replayed sweep.
+    // run_obs_grid (counters + sites on every cell) vs the probe-off
+    // replayed sweep.
     eprintln!(
         "perf_report: obs grid ({} cells, full counters+sites probes, {} threads)...",
         points.len(),
@@ -511,7 +517,7 @@ fn main() {
     let obs_grid_overhead_pct = (obs_grid_s - replay_s) / replay_s * 100.0;
     eprintln!(
         "  probed grid {obs_grid_s:.2} s ({obs_grid_ns:.0} ns/inst, \
-         {obs_grid_overhead_pct:+.1}% vs strict sweep); merged sums check out"
+         {obs_grid_overhead_pct:+.1}% vs probe-off sweep); merged sums check out"
     );
 
     // 8a. Sampled-vs-full error study: every suite benchmark and every

@@ -1,8 +1,10 @@
 //! Experiment driver: one function per paper artifact.
 //!
-//! The Figure-5/6 grids fan out over the multi-threaded sweep runner in
-//! [`crate::sweep`]; results are assembled in deterministic grid order,
-//! so parallel output is identical to a sequential run.
+//! The Figure-5/6 grids run through one entry point each
+//! ([`fig5_tables`], [`Fig6Data::collect`]) over a parsed [`Run`]: the
+//! fault-isolated grid runner, sampled when the run has a plan. Results
+//! are assembled in deterministic grid order, so parallel output is
+//! identical to a sequential run.
 
 use std::sync::Arc;
 
@@ -13,12 +15,10 @@ use arvi_stats::{amean, Table};
 use arvi_trace::{Trace, TraceReplayer};
 use arvi_workloads::Benchmark;
 
-use arvi_sampling::SamplePlan;
-
-use crate::resilience::{collect_results, run_sweep_resilient, Resilience, SweepIncomplete};
-use crate::sampling::{run_sweep_sampled, sample_ci_table};
-use crate::sweep::{default_threads, grid, run_sweep, run_sweep_with, TraceSet};
+use crate::resilience::SweepIncomplete;
+use crate::sweep::grid;
 use crate::workload::Workload;
+use crate::Run;
 
 /// Sweep parameters: instruction windows and the workload input seed.
 #[derive(Debug, Clone, Copy)]
@@ -105,107 +105,16 @@ pub fn run_one_traced(
     )
 }
 
-/// Figure 5: (a) the fraction of load branches per workload at each
-/// pipeline depth, and (b) prediction accuracy of calculated versus load
-/// branches (20-stage, ARVI current value) — returns the two tables.
-pub fn fig5_tables(spec: Spec, progress: bool) -> (Table, Table) {
-    fig5_tables_threaded(spec, progress, default_threads())
-}
-
-/// [`fig5_tables`] with an explicit worker count (`1` = sequential).
-/// Records each benchmark's trace once in memory; use
-/// [`fig5_tables_with`] to share recordings across figures.
-pub fn fig5_tables_threaded(spec: Spec, progress: bool, threads: usize) -> (Table, Table) {
-    fig5_tables_over(&Workload::suite(), spec, progress, threads, None)
-}
-
-/// [`fig5_tables`] over a pre-recorded [`TraceSet`].
-pub fn fig5_tables_with(
-    spec: Spec,
-    progress: bool,
-    threads: usize,
-    traces: &TraceSet,
-) -> (Table, Table) {
-    fig5_tables_over(&Workload::suite(), spec, progress, threads, Some(traces))
-}
-
-/// [`fig5_tables`] over an explicit workload list (suite benchmarks,
-/// synthetic scenarios, or any mix).
-pub fn fig5_tables_over(
-    workloads: &[Workload],
-    spec: Spec,
-    progress: bool,
-    threads: usize,
-    traces: Option<&TraceSet>,
-) -> (Table, Table) {
+/// Figure 5 over `run`'s workloads: (a) the fraction of load branches
+/// per workload at each pipeline depth, and (b) prediction accuracy of
+/// calculated versus load branches (20-stage, ARVI current value).
+/// Returns the two tables plus, when `run` samples, the per-cell
+/// confidence-interval table; any failed cell yields a
+/// [`SweepIncomplete`] naming it.
+pub fn fig5_tables(run: &Run) -> Result<(Table, Table, Option<Table>), SweepIncomplete> {
     let depths = Depth::all();
-    let points = grid(workloads, &depths, &[PredictorConfig::ArviCurrent]);
-    let results = match traces {
-        Some(traces) => run_sweep_with(&points, spec, threads, progress, traces),
-        None => run_sweep(&points, spec, threads, progress),
-    };
-    fig5_assemble(workloads, &depths, &results)
-}
-
-/// [`fig5_tables_over`] on the fault-isolated sweep runner: cell
-/// failures are collected into a [`SweepIncomplete`] (naming every
-/// failed cell, with a resume hint) instead of aborting the process,
-/// and completed cells are journaled/resumed per `res`.
-pub fn fig5_tables_resilient(
-    workloads: &[Workload],
-    spec: Spec,
-    progress: bool,
-    threads: usize,
-    traces: Option<&TraceSet>,
-    res: &Resilience,
-) -> Result<(Table, Table), SweepIncomplete> {
-    let depths = Depth::all();
-    let points = grid(workloads, &depths, &[PredictorConfig::ArviCurrent]);
-    let outcomes = run_sweep_resilient(&points, spec, threads, progress, traces, res);
-    if let Some(summary) = crate::resilience::outcome_summary(&outcomes) {
-        eprintln!("{summary}");
-    }
-    if let Some(timing) =
-        crate::resilience::timing_summary(&outcomes, traces.map(|t| t.record_elapsed()))
-    {
-        eprintln!("{timing}");
-    }
-    let results = collect_results(&points, outcomes)?;
-    Ok(fig5_assemble(workloads, &depths, &results))
-}
-
-/// [`fig5_tables_over`] under interval sampling: every cell estimates
-/// its window from `plan`'s units over the shared recording (see
-/// [`crate::sampling::run_sweep_sampled`]). Returns the two Figure-5
-/// tables plus the per-cell confidence-interval table.
-pub fn fig5_tables_sampled(
-    workloads: &[Workload],
-    spec: Spec,
-    plan: &SamplePlan,
-    progress: bool,
-    threads: usize,
-    traces: &TraceSet,
-    res: Option<&Resilience>,
-) -> Result<(Table, Table, Table), SweepIncomplete> {
-    let depths = Depth::all();
-    let points = grid(workloads, &depths, &[PredictorConfig::ArviCurrent]);
-    let sweep = run_sweep_sampled(&points, spec, plan, threads, progress, traces, res);
-    if let Some(summary) = crate::resilience::outcome_summary(&sweep.outcomes) {
-        eprintln!("{summary}");
-    }
-    let ci = sample_ci_table(&points, &sweep);
-    let results = collect_results(&points, sweep.outcomes)?;
-    let (fig5a, fig5b) = fig5_assemble(workloads, &depths, &results);
-    Ok((fig5a, fig5b, ci))
-}
-
-/// Builds the two Figure-5 tables from grid-ordered results (the shared
-/// tail of the strict and resilient paths).
-fn fig5_assemble(
-    workloads: &[Workload],
-    depths: &[Depth],
-    results: &[SimResult],
-) -> (Table, Table) {
+    let points = grid(&run.workloads, &depths, &[PredictorConfig::ArviCurrent]);
+    let (results, ci) = run.sweep(&points)?;
     let mut fig5a = Table::new(vec![
         "workload".into(),
         "20-cycle".into(),
@@ -217,8 +126,7 @@ fn fig5_assemble(
         "calc branch".into(),
         "load branch".into(),
     ]);
-    for (wi, workload) in workloads.iter().enumerate() {
-        let per_depth = &results[wi * depths.len()..(wi + 1) * depths.len()];
+    for (workload, per_depth) in run.workloads.iter().zip(results.chunks(depths.len())) {
         let mut row = vec![workload.name().to_string()];
         row.extend(
             per_depth
@@ -233,7 +141,7 @@ fn fig5_assemble(
             format!("{:.4}", d20.window.load_class.rate()),
         ]);
     }
-    (fig5a, fig5b)
+    Ok((fig5a, fig5b, ci))
 }
 
 /// The full Figure 6 dataset for one pipeline depth.
@@ -249,119 +157,23 @@ pub struct Fig6Data {
 }
 
 impl Fig6Data {
-    /// Runs the sweep on all available cores.
-    pub fn collect(depth: Depth, spec: Spec, progress: bool) -> Fig6Data {
-        Fig6Data::collect_threaded(depth, spec, progress, default_threads())
-    }
-
-    /// [`Fig6Data::collect`] with an explicit worker count (`1` =
-    /// sequential). Records each benchmark's trace once in memory; use
-    /// [`Fig6Data::collect_with`] to share recordings across depths.
-    pub fn collect_threaded(depth: Depth, spec: Spec, progress: bool, threads: usize) -> Fig6Data {
-        Fig6Data::collect_over(&Workload::suite(), depth, spec, progress, threads, None)
-    }
-
-    /// [`Fig6Data::collect`] over a pre-recorded [`TraceSet`].
-    pub fn collect_with(
-        depth: Depth,
-        spec: Spec,
-        progress: bool,
-        threads: usize,
-        traces: &TraceSet,
-    ) -> Fig6Data {
-        Fig6Data::collect_over(
-            &Workload::suite(),
-            depth,
-            spec,
-            progress,
-            threads,
-            Some(traces),
-        )
-    }
-
-    /// [`Fig6Data::collect`] over an explicit workload list (suite
-    /// benchmarks, synthetic scenarios, or any mix).
-    pub fn collect_over(
-        workloads: &[Workload],
-        depth: Depth,
-        spec: Spec,
-        progress: bool,
-        threads: usize,
-        traces: Option<&TraceSet>,
-    ) -> Fig6Data {
-        let points = grid(workloads, &[depth], &PredictorConfig::all());
-        let flat = match traces {
-            Some(traces) => run_sweep_with(&points, spec, threads, progress, traces),
-            None => run_sweep(&points, spec, threads, progress),
-        };
-        Fig6Data::assemble(workloads, depth, flat)
-    }
-
-    /// [`Fig6Data::collect_over`] on the fault-isolated sweep runner:
-    /// cell failures become a [`SweepIncomplete`] instead of aborting
-    /// the process, and completed cells are journaled/resumed per `res`.
-    pub fn collect_resilient(
-        workloads: &[Workload],
-        depth: Depth,
-        spec: Spec,
-        progress: bool,
-        threads: usize,
-        traces: Option<&TraceSet>,
-        res: &Resilience,
-    ) -> Result<Fig6Data, SweepIncomplete> {
-        let points = grid(workloads, &[depth], &PredictorConfig::all());
-        let outcomes = run_sweep_resilient(&points, spec, threads, progress, traces, res);
-        if let Some(summary) = crate::resilience::outcome_summary(&outcomes) {
-            eprintln!("{summary}");
-        }
-        if let Some(timing) =
-            crate::resilience::timing_summary(&outcomes, traces.map(|t| t.record_elapsed()))
-        {
-            eprintln!("{timing}");
-        }
-        let flat = collect_results(&points, outcomes)?;
-        Ok(Fig6Data::assemble(workloads, depth, flat))
-    }
-
-    /// [`Fig6Data::collect_over`] under interval sampling (see
-    /// [`crate::sampling::run_sweep_sampled`]): returns the dataset plus
-    /// the per-cell confidence-interval table.
-    #[allow(clippy::too_many_arguments)]
-    pub fn collect_sampled(
-        workloads: &[Workload],
-        depth: Depth,
-        spec: Spec,
-        plan: &SamplePlan,
-        progress: bool,
-        threads: usize,
-        traces: &TraceSet,
-        res: Option<&Resilience>,
-    ) -> Result<(Fig6Data, Table), SweepIncomplete> {
-        let points = grid(workloads, &[depth], &PredictorConfig::all());
-        let sweep = run_sweep_sampled(&points, spec, plan, threads, progress, traces, res);
-        if let Some(summary) = crate::resilience::outcome_summary(&sweep.outcomes) {
-            eprintln!("{summary}");
-        }
-        let ci = sample_ci_table(&points, &sweep);
-        let flat = collect_results(&points, sweep.outcomes)?;
-        Ok((Fig6Data::assemble(workloads, depth, flat), ci))
-    }
-
-    /// Splits flat grid-ordered results per workload (the shared tail
-    /// of the strict and resilient paths).
-    fn assemble(workloads: &[Workload], depth: Depth, mut flat: Vec<SimResult>) -> Fig6Data {
+    /// Runs the Figure 6 grid at `depth` (`run`'s workloads x every
+    /// configuration). Returns the dataset plus, when `run` samples, the
+    /// per-cell confidence-interval table; any failed cell yields a
+    /// [`SweepIncomplete`] naming it.
+    pub fn collect(run: &Run, depth: Depth) -> Result<(Fig6Data, Option<Table>), SweepIncomplete> {
         let configs = PredictorConfig::all();
-        let mut results = Vec::new();
-        for _ in workloads {
-            let rest = flat.split_off(configs.len());
-            results.push(flat);
-            flat = rest;
-        }
-        Fig6Data {
+        let points = grid(&run.workloads, &[depth], &configs);
+        let (flat, ci) = run.sweep(&points)?;
+        let data = Fig6Data {
             depth,
-            workloads: workloads.to_vec(),
-            results,
-        }
+            workloads: run.workloads.clone(),
+            results: flat
+                .chunks(configs.len())
+                .map(<[SimResult]>::to_vec)
+                .collect(),
+        };
+        Ok((data, ci))
     }
 
     /// The prediction-accuracy table (Figure 6 a/c/e).
@@ -419,12 +231,6 @@ impl Fig6Data {
             .collect();
         amean(&norms)
     }
-}
-
-/// Figure 6 tables for one depth: `(accuracy, normalized IPC)`.
-pub fn fig6_tables(depth: Depth, spec: Spec, progress: bool) -> (Table, Table) {
-    let data = Fig6Data::collect(depth, spec, progress);
-    (data.accuracy_table(), data.normalized_ipc_table())
 }
 
 /// Renders the paper's configuration tables (1, 2, 3 and 4) from the

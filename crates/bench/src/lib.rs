@@ -26,11 +26,20 @@
 //!   synthetic-scenario grid, emitting `BENCH_PR3.json` and a markdown
 //!   table with the paper-style separation summary.
 //!
-//! Experiment grids fan out over [`sweep::par_map`]: every
-//! `(benchmark, depth, configuration)` cell is an independent
-//! deterministic simulation, and results are returned in grid order, so
-//! parallel sweeps are bit-identical to sequential ones. All binaries
-//! accept `--threads N` (default: all cores; `1` = sequential).
+//! Experiment grids fan out over the workspace's one worker pool
+//! ([`arvi_sim::execute`]): every `(benchmark, depth, configuration)`
+//! cell is an independent deterministic simulation, and results are
+//! returned in grid order, so parallel sweeps are bit-identical to
+//! sequential ones. All binaries accept `--threads N` (default: all
+//! cores; `1` = sequential).
+//!
+//! The figure binaries (`fig5`, `fig6`, `experiments`) parse their
+//! command line once into a [`Run`] against one flag table (an unknown
+//! flag or a malformed value exits 2), and each figure has one entry
+//! point over it ([`fig5_tables`], [`Fig6Data::collect`]). Every run is
+//! fault-isolated ([`resilience`]): a failed cell is reported and the
+//! binary exits 3 once its grids have finished, and `--sample` only
+//! changes the kind of job the grid runs.
 //!
 //! Grids are record-once / replay-many (PR 2): each distinct
 //! `(benchmark, seed, window)` workload is emulated exactly once into a
@@ -74,11 +83,7 @@ pub mod workload;
 pub use branch_stream::{conditional_branches, run_delayed, run_delayed_scalar, StreamRun};
 pub use events::{EventLog, SweepTelemetry};
 pub use guard::{evaluate_guardrail, trend_flags, GuardOutcome, MetricRow, MetricStatus};
-pub use harness::{
-    fig5_tables, fig5_tables_over, fig5_tables_resilient, fig5_tables_sampled,
-    fig5_tables_threaded, fig5_tables_with, fig6_tables, paper_tables, run_one, run_one_traced,
-    Fig6Data, Spec,
-};
+pub use harness::{fig5_tables, paper_tables, run_one, run_one_traced, Fig6Data, Spec};
 pub use history::{bench_history, load_bench_history, BenchFile, HistoryReport, MetricTrend};
 pub use obs::{maybe_obs_pass, obs_from_args, run_obs_pass, ObsConfig, ObsReport, WorkloadObs};
 pub use obs_grid::{
@@ -88,44 +93,209 @@ pub use obs_grid::{
 };
 pub use report::{write_report, write_text, Json};
 pub use resilience::{
-    cell_fingerprint, collect_results, outcome_summary, run_sweep_resilient, timing_summary,
-    CellOutcome, CellSuccess, Degradation, FaultKind, FaultPlan, FaultyIo, Resilience,
-    SweepIncomplete, SweepJournal,
+    cell_fingerprint, collect_results, run_sweep_resilient, CellOutcome, CellSuccess, Degradation,
+    FaultKind, FaultPlan, FaultyIo, Resilience, SweepIncomplete,
 };
 pub use sampling::{
     run_sweep_sampled, sample_ci_table, sample_plan_from_args, unit_fingerprint, SampledSweep,
 };
 pub use sweep::{
-    default_threads, distinct_workloads, full_grid, grid, par_map, par_map_caught, record_trace,
-    run_sweep, run_sweep_emulated, run_sweep_with, trace_file_name, trace_len, try_record_trace,
-    SweepPoint, TraceProvenance, TraceSet, TRACE_SLACK,
+    default_threads, distinct_workloads, full_grid, grid, par_map, record_trace, run_sweep,
+    run_sweep_emulated, run_sweep_with, trace_file_name, trace_len, try_record_trace, SweepPoint,
+    TraceProvenance, TraceSet, TRACE_SLACK,
 };
 pub use workload::Workload;
 
+use std::path::PathBuf;
+
+use arvi_sampling::SamplePlan;
+use arvi_sim::SimResult;
+use arvi_stats::Table;
 use arvi_synth::ScenarioSpec;
 use arvi_workloads::Benchmark;
 
+/// Every flag the figure binaries accept, and whether it takes a value.
+const FLAGS: &[(&str, bool)] = &[
+    ("--quick", false),
+    ("--threads", true),
+    ("--trace-dir", true),
+    ("--sample", true),
+    ("--scenario", true),
+    ("--scenario-file", true),
+    ("--journal", true),
+    ("--resume", false),
+    ("--fault-plan", true),
+    ("--deadline-ms", true),
+    ("--events-out", true),
+    ("--metrics-out", true),
+    ("--probe", true),
+    ("--obs-out", true),
+    ("--obs-grid", true),
+    ("--trace-cycles", true),
+    ("--top-sites", true),
+    ("--list-scenarios", false),
+    ("--list-benchmarks", false),
+];
+
+/// One invocation of a figure binary (`fig5`, `fig6`, `experiments`):
+/// everything its grids run under, parsed once by [`Run::from_args`],
+/// with every workload already recorded.
+#[derive(Debug)]
+pub struct Run {
+    /// The workloads every grid sweeps: the benchmark suite, or the
+    /// synthetic scenarios a scenario flag selects.
+    pub workloads: Vec<Workload>,
+    /// The instruction window (`--quick` selects [`Spec::quick`]).
+    pub spec: Spec,
+    /// Worker threads (`--threads N`; default all cores).
+    pub threads: usize,
+    /// One shared recording per workload (`--trace-dir` persists them).
+    pub traces: TraceSet,
+    /// The fault-tolerance policy every grid runs under.
+    pub res: Resilience,
+    /// The interval-sampling plan (`--sample`), if any.
+    pub plan: Option<SamplePlan>,
+    /// The observability flags, if any.
+    pub obs: Option<ObsConfig>,
+    /// Print a `sweep: <point>` line on stderr as each cell starts.
+    pub progress: bool,
+    /// The positional argument, when the binary accepts one (`fig6`'s
+    /// pipeline depth).
+    pub positional: Option<String>,
+}
+
+impl Run {
+    /// Parses a figure binary's command line against the one flag table
+    /// (`positionals` lists the positional values the binary accepts),
+    /// then records every workload's trace under the parsed policy.
+    /// Errors name the malformed argument; the binaries print them and
+    /// exit 2.
+    pub fn from_args(args: &[String], positionals: &[&str]) -> Result<Run, String> {
+        let positional = positional_from_args(args, positionals)?;
+        let spec = if args.iter().any(|a| a == "--quick") {
+            Spec::quick()
+        } else {
+            Spec::default()
+        };
+        let threads = threads_from_args(args)?;
+        let trace_dir = trace_dir_from_args(args)?;
+        let workloads = workloads_from_args(args)?;
+        let plan = sample_plan_from_args(args)?;
+        let obs = obs_from_args(args)?;
+        let res = resilience_from_args(args)?;
+        let traces =
+            TraceSet::record_resilient(&workloads, spec, threads, trace_dir.as_deref(), Some(&res));
+        Ok(Run {
+            workloads,
+            spec,
+            threads,
+            traces,
+            res,
+            plan,
+            obs,
+            progress: true,
+            positional,
+        })
+    }
+
+    /// Runs `points` through the grid runner under this run's policy
+    /// (sampled when it has a plan) and reports the degradation and
+    /// timing summaries on stderr. Returns the results in point order
+    /// plus, under sampling, the per-cell confidence-interval table.
+    pub(crate) fn sweep(
+        &self,
+        points: &[SweepPoint],
+    ) -> Result<(Vec<SimResult>, Option<Table>), SweepIncomplete> {
+        let sweep = resilience::run_grid(
+            points,
+            self.spec,
+            self.plan.as_ref(),
+            self.threads,
+            self.progress,
+            Some(&self.traces),
+            &self.res,
+        );
+        if let Some(summary) = resilience::outcome_summary(&sweep.outcomes) {
+            eprintln!("{summary}");
+        }
+        let record = Some(self.traces.record_elapsed());
+        if let Some(timing) = resilience::timing_summary(&sweep.outcomes, record) {
+            eprintln!("{timing}");
+        }
+        let ci = self.plan.is_some().then(|| sample_ci_table(points, &sweep));
+        Ok((collect_results(points, sweep.outcomes)?, ci))
+    }
+}
+
+/// Checks `args` against [`FLAGS`] and returns the positional argument.
+/// An unknown flag, a second positional, or a positional not listed in
+/// `positionals` is an error. A value flag consumes the next argument
+/// unless that looks like a flag (the flag's own parser then reports the
+/// missing value).
+fn positional_from_args(args: &[String], positionals: &[&str]) -> Result<Option<String>, String> {
+    let mut positional = None;
+    let mut i = 0;
+    while i < args.len() {
+        let arg = &args[i];
+        i += 1;
+        if arg.starts_with('-') {
+            let (_, takes_value) = FLAGS
+                .iter()
+                .find(|(flag, _)| flag == arg)
+                .ok_or_else(|| format!("unknown flag `{arg}`"))?;
+            if *takes_value && args.get(i).is_some_and(|v| !v.starts_with('-')) {
+                i += 1;
+            }
+        } else if positional.is_none() && positionals.contains(&arg.as_str()) {
+            positional = Some(arg.clone());
+        } else if positionals.is_empty() {
+            return Err(format!("unexpected argument `{arg}`"));
+        } else {
+            return Err(format!(
+                "unexpected argument `{arg}` (expected one of {})",
+                positionals.join(", ")
+            ));
+        }
+    }
+    Ok(positional)
+}
+
+/// The value of `flag` in `args`: `Ok(None)` when the flag is absent, an
+/// error when it is the last argument or followed by another flag.
+pub(crate) fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a String>, String> {
+    match args.iter().position(|a| a == flag) {
+        None => Ok(None),
+        Some(i) => args
+            .get(i + 1)
+            .filter(|v| !v.starts_with('-'))
+            .map(Some)
+            .ok_or_else(|| format!("{flag} needs a value")),
+    }
+}
+
 /// Parses a `--threads N` argument pair out of `args`, defaulting to all
-/// cores.
-pub fn threads_from_args(args: &[String]) -> usize {
-    args.iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|n| n.parse().ok())
-        .unwrap_or_else(default_threads)
+/// cores. `N` must be a positive number.
+pub fn threads_from_args(args: &[String]) -> Result<usize, String> {
+    match flag_value(args, "--threads")? {
+        None => Ok(default_threads()),
+        Some(n) => n
+            .parse()
+            .ok()
+            .filter(|&n: &usize| n > 0)
+            .ok_or_else(|| format!("--threads: not a positive number: `{n}`")),
+    }
 }
 
 /// Parses a `--trace-dir DIR` argument pair out of `args`: the directory
 /// experiment binaries persist workload recordings to (and reload them
 /// from) instead of re-emulating on every run.
-pub fn trace_dir_from_args(args: &[String]) -> Option<std::path::PathBuf> {
-    args.iter()
-        .position(|a| a == "--trace-dir")
-        .and_then(|i| args.get(i + 1))
-        .map(std::path::PathBuf::from)
+pub fn trace_dir_from_args(args: &[String]) -> Result<Option<PathBuf>, String> {
+    Ok(flag_value(args, "--trace-dir")?.map(PathBuf::from))
 }
 
-/// Parses the fault-tolerance flags out of `args`:
+/// Parses the fault-tolerance flags out of `args` into the policy every
+/// sweep runs under: [`Resilience::default`] (graceful degradation, no
+/// journal, no injected faults) adjusted by
 ///
 /// * `--journal FILE` — append completed sweep cells to `FILE` (the
 ///   sweep journal) as they finish.
@@ -143,42 +313,33 @@ pub fn trace_dir_from_args(args: &[String]) -> Option<std::path::PathBuf> {
 /// * `--metrics-out FILE` — write cumulative sweep counters to `FILE`
 ///   in Prometheus text exposition format after every sweep.
 ///
-/// Returns `Ok(None)` when none of the flags are present (callers run
-/// the strict, fail-fast sweep), `Ok(Some(policy))` otherwise — the
-/// telemetry flags alone select the resilient runner, since only it
-/// emits events.
-pub fn resilience_from_args(args: &[String]) -> Result<Option<Resilience>, String> {
-    let value_of = |flag: &str| -> Result<Option<&String>, String> {
-        match args.iter().position(|a| a == flag) {
-            None => Ok(None),
-            Some(i) => args
-                .get(i + 1)
-                .filter(|v| !v.starts_with('-'))
-                .map(Some)
-                .ok_or_else(|| format!("{flag} needs a value")),
-        }
+/// Errors name the malformed flag.
+pub fn resilience_from_args(args: &[String]) -> Result<Resilience, String> {
+    let mut res = Resilience::default();
+    res.resume = args.iter().any(|a| a == "--resume");
+    res.journal = match flag_value(args, "--journal")? {
+        Some(path) => Some(PathBuf::from(path)),
+        // --resume without --journal: the conventional location.
+        None if res.resume => Some(
+            trace_dir_from_args(args)?
+                .unwrap_or_default()
+                .join("sweep.journal"),
+        ),
+        None => None,
     };
-    let journal = value_of("--journal")?;
-    let resume = args.iter().any(|a| a == "--resume");
-    let plan_path = value_of("--fault-plan")?;
-    let deadline_ms = value_of("--deadline-ms")?
+    res.deadline = flag_value(args, "--deadline-ms")?
         .map(|v| {
             v.parse::<u64>()
+                .map(std::time::Duration::from_millis)
                 .map_err(|_| format!("--deadline-ms: not a number: `{v}`"))
         })
         .transpose()?;
-    let events_out = value_of("--events-out")?;
-    let metrics_out = value_of("--metrics-out")?;
-    if journal.is_none()
-        && !resume
-        && plan_path.is_none()
-        && deadline_ms.is_none()
-        && events_out.is_none()
-        && metrics_out.is_none()
-    {
-        return Ok(None);
+    if let Some(path) = flag_value(args, "--fault-plan")? {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+        res.plan = Some(std::sync::Arc::new(FaultPlan::parse(&text)?));
     }
-    let mut res = Resilience::new();
+    let events_out = flag_value(args, "--events-out")?;
+    let metrics_out = flag_value(args, "--metrics-out")?;
     if events_out.is_some() || metrics_out.is_some() {
         let telemetry = SweepTelemetry::from_paths(
             events_out.map(std::path::Path::new),
@@ -187,23 +348,7 @@ pub fn resilience_from_args(args: &[String]) -> Result<Option<Resilience>, Strin
         .map_err(|e| format!("cannot open telemetry sink: {e}"))?;
         res.telemetry = Some(std::sync::Arc::new(telemetry));
     }
-    res.journal = match journal {
-        Some(path) => Some(std::path::PathBuf::from(path)),
-        // --resume without --journal: the conventional location.
-        None if resume => Some(
-            trace_dir_from_args(args)
-                .unwrap_or_default()
-                .join("sweep.journal"),
-        ),
-        None => None,
-    };
-    res.resume = resume;
-    res.deadline = deadline_ms.map(std::time::Duration::from_millis);
-    if let Some(path) = plan_path {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        res.plan = Some(std::sync::Arc::new(FaultPlan::parse(&text)?));
-    }
-    Ok(Some(res))
+    Ok(res)
 }
 
 /// Parses the scenario-selection flags out of `args`:
@@ -284,17 +429,9 @@ pub fn scenario_workloads_from_args(args: &[String]) -> Result<Option<Vec<Worklo
 }
 
 /// The workload set selected by `args`: the named scenarios when any
-/// scenario flag is present, the benchmark suite otherwise. Prints the
-/// error and exits on a malformed scenario flag.
-pub fn workloads_from_args(args: &[String]) -> Vec<Workload> {
-    match scenario_workloads_from_args(args) {
-        Ok(Some(workloads)) => workloads,
-        Ok(None) => Workload::suite(),
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    }
+/// scenario flag is present, the benchmark suite otherwise.
+fn workloads_from_args(args: &[String]) -> Result<Vec<Workload>, String> {
+    Ok(scenario_workloads_from_args(args)?.unwrap_or_else(Workload::suite))
 }
 
 /// Handles the discoverability flags `--list-scenarios` /
@@ -332,7 +469,10 @@ mod tests {
             scenario_workloads_from_args(&args(&["--quick", "--threads", "2"])).unwrap(),
             None
         );
-        assert_eq!(workloads_from_args(&args(&["--quick"])), Workload::suite());
+        assert_eq!(
+            workloads_from_args(&args(&["--quick"])).unwrap(),
+            Workload::suite()
+        );
     }
 
     #[test]
@@ -399,30 +539,20 @@ mod tests {
 
     #[test]
     fn resilience_flags_parse() {
-        assert_eq!(
-            resilience_from_args(&args(&["--quick", "--threads", "2"]))
-                .unwrap()
-                .map(|_| ()),
-            None
-        );
-        let r = resilience_from_args(&args(&["--journal", "j.log"]))
-            .unwrap()
-            .unwrap();
+        let r = resilience_from_args(&args(&["--quick", "--threads", "2"])).unwrap();
+        assert!(r.journal.is_none() && !r.resume && r.plan.is_none() && r.telemetry.is_none());
+        assert!(r.rerecord && r.live_fallback, "graceful defaults");
+        let r = resilience_from_args(&args(&["--journal", "j.log"])).unwrap();
         assert_eq!(r.journal.as_deref(), Some(std::path::Path::new("j.log")));
         assert!(!r.resume);
-        assert!(r.rerecord && r.live_fallback, "graceful defaults");
         // --resume defaults the journal into the trace dir.
-        let r = resilience_from_args(&args(&["--resume", "--trace-dir", "traces"]))
-            .unwrap()
-            .unwrap();
+        let r = resilience_from_args(&args(&["--resume", "--trace-dir", "traces"])).unwrap();
         assert!(r.resume);
         assert_eq!(
             r.journal.as_deref(),
             Some(std::path::Path::new("traces/sweep.journal"))
         );
-        let r = resilience_from_args(&args(&["--deadline-ms", "1500"]))
-            .unwrap()
-            .unwrap();
+        let r = resilience_from_args(&args(&["--deadline-ms", "1500"])).unwrap();
         assert_eq!(r.deadline, Some(std::time::Duration::from_millis(1500)));
         assert!(resilience_from_args(&args(&["--journal"])).is_err());
         assert!(resilience_from_args(&args(&["--deadline-ms", "soon"])).is_err());
@@ -430,21 +560,17 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_flags_select_the_resilient_runner() {
+    fn telemetry_flags_open_their_sinks() {
         let dir = std::env::temp_dir().join(format!("arvi-telflag-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let events = dir.join("events.jsonl");
-        let r = resilience_from_args(&args(&["--events-out", events.to_str().unwrap()]))
-            .unwrap()
-            .expect("--events-out alone enables resilience");
+        let r = resilience_from_args(&args(&["--events-out", events.to_str().unwrap()])).unwrap();
         let t = r.telemetry.as_ref().expect("telemetry configured");
         assert_eq!(t.events().unwrap().path(), events);
         assert!(events.exists(), "log created eagerly, with parents");
         // Metrics alone also counts; no event log in that case.
         let metrics = dir.join("metrics.prom");
-        let r = resilience_from_args(&args(&["--metrics-out", metrics.to_str().unwrap()]))
-            .unwrap()
-            .unwrap();
+        let r = resilience_from_args(&args(&["--metrics-out", metrics.to_str().unwrap()])).unwrap();
         assert!(r.telemetry.as_ref().unwrap().events().is_none());
         assert!(resilience_from_args(&args(&["--events-out"])).is_err());
         // An unopenable sink is a flag error, and it names the path.
@@ -459,14 +585,83 @@ mod tests {
     }
 
     #[test]
+    fn flag_table_rejects_malformed_input() {
+        let depths = ["20", "40", "60"];
+        assert_eq!(
+            positional_from_args(&args(&["40", "--quick", "--threads", "2"]), &depths).unwrap(),
+            Some("40".to_string())
+        );
+        // Flag values are not positionals, even when they look like one.
+        assert_eq!(
+            positional_from_args(&args(&["--threads", "20", "--scenario", "a b=c"]), &[]).unwrap(),
+            None
+        );
+        for bad in [
+            &["30", "--quick"][..],                          // not a fig6 depth
+            &["20", "40"],                                   // two depths
+            &["--quick", "--threads", "2", "--threds", "9"], // unknown flag
+            &["-q"],                                         // unknown short flag
+        ] {
+            assert!(
+                positional_from_args(&args(bad), &depths).is_err(),
+                "{bad:?}"
+            );
+        }
+        assert!(
+            positional_from_args(&args(&["20"]), &[])
+                .unwrap_err()
+                .contains("unexpected argument `20`"),
+            "fig5 and experiments take no positional"
+        );
+        assert_eq!(threads_from_args(&args(&["--threads", "3"])).unwrap(), 3);
+        assert!(threads_from_args(&args(&["--quick"])).unwrap() >= 1);
+        for bad in [
+            &["--threads", "abc"][..],
+            &["--threads", "0"],
+            &["--threads"],
+        ] {
+            assert!(threads_from_args(&args(bad)).is_err(), "{bad:?}");
+        }
+        // Run::from_args reports them all before recording anything.
+        let err = Run::from_args(
+            &args(&["30", "--quick", "--threads", "2", "--threds", "9"]),
+            &depths,
+        )
+        .unwrap_err();
+        assert!(err.contains("30"), "{err}");
+        let err = Run::from_args(&args(&["--quick", "--threads", "abc"]), &[]).unwrap_err();
+        assert!(err.contains("abc"), "{err}");
+    }
+
+    #[test]
+    fn journaled_figure_run_prints_the_same_tables() {
+        let dir = std::env::temp_dir().join(format!("arvi-runjournal-test-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let journal = dir.join("sweep.journal");
+        let base = ["--quick", "--threads", "2", "--scenario", "datadep-deep"];
+        let mut with_journal = args(&base);
+        with_journal.extend(["--journal".to_string(), journal.display().to_string()]);
+        let render = |argv: &[String]| {
+            let mut run = Run::from_args(argv, &[]).unwrap();
+            run.progress = false;
+            let (fig5a, fig5b, ci) = fig5_tables(&run).unwrap();
+            assert!(ci.is_none(), "no plan, no CI table");
+            fig5a.to_text() + &fig5b.to_text()
+        };
+        assert_eq!(render(&args(&base)), render(&with_journal));
+        let text = std::fs::read_to_string(&journal).unwrap();
+        assert!(text.starts_with("# arvi sweep journal v1"), "{text}");
+        assert_eq!(text.lines().count(), 1 + 3, "header + one line per depth");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn fault_plan_flag_loads_and_validates() {
         let dir = std::env::temp_dir().join(format!("arvi-resflag-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("plan.faults");
         std::fs::write(&path, "panic-cell 0\nkill-after 2\n").unwrap();
-        let r = resilience_from_args(&args(&["--fault-plan", path.to_str().unwrap()]))
-            .unwrap()
-            .unwrap();
+        let r = resilience_from_args(&args(&["--fault-plan", path.to_str().unwrap()])).unwrap();
         assert_eq!(r.plan.as_ref().unwrap().len(), 2);
         std::fs::write(&path, "warp-core-breach 1\n").unwrap();
         assert!(

@@ -70,21 +70,11 @@ impl ObsConfig {
 ///
 /// Returns `Ok(None)` when no observability flag is present.
 pub fn obs_from_args(args: &[String]) -> Result<Option<ObsConfig>, String> {
-    let value_of = |flag: &str| -> Result<Option<&String>, String> {
-        match args.iter().position(|a| a == flag) {
-            None => Ok(None),
-            Some(i) => args
-                .get(i + 1)
-                .filter(|v| !v.starts_with('-'))
-                .map(Some)
-                .ok_or_else(|| format!("{flag} needs a value")),
-        }
-    };
-    let probe = value_of("--probe")?;
-    let trace_cycles = value_of("--trace-cycles")?;
-    let out = value_of("--obs-out")?;
-    let top_sites = value_of("--top-sites")?;
-    let grid = value_of("--obs-grid")?;
+    let probe = crate::flag_value(args, "--probe")?;
+    let trace_cycles = crate::flag_value(args, "--trace-cycles")?;
+    let out = crate::flag_value(args, "--obs-out")?;
+    let top_sites = crate::flag_value(args, "--top-sites")?;
+    let grid = crate::flag_value(args, "--obs-grid")?;
     if probe.is_none() && trace_cycles.is_none() && grid.is_none() {
         if out.is_some() || top_sites.is_some() {
             return Err("--obs-out/--top-sites need --probe, --trace-cycles or --obs-grid".into());
@@ -352,33 +342,25 @@ impl ObsReport {
     }
 }
 
-/// Runs and emits the observability pass when `args` ask for one;
-/// exits with code 2 on malformed flags. The experiment binaries call
-/// this once after their tables, at their figure's anchor
-/// depth/configuration. An `--obs-grid`-only invocation selects no
-/// anchor pass — the grid rollup is emitted by
-/// [`crate::obs_grid::maybe_obs_grid`] instead.
+/// Runs and emits the observability pass when `cfg` (the parsed probe
+/// flags, [`obs_from_args`]) asks for one; exits with code 1 when the
+/// output cannot be written. The experiment binaries call this once
+/// after their tables, at their figure's anchor depth/configuration. An
+/// `--obs-grid`-only invocation selects no anchor pass — the grid rollup
+/// is emitted by [`crate::obs_grid::maybe_obs_grid`] instead.
 pub fn maybe_obs_pass(
-    args: &[String],
+    cfg: Option<&ObsConfig>,
     workloads: &[Workload],
     depth: Depth,
     config: PredictorConfig,
     spec: Spec,
     traces: Option<&TraceSet>,
 ) {
-    let cfg = match obs_from_args(args) {
-        Ok(None) => return,
-        Ok(Some(cfg)) => cfg,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-    if !cfg.counters && !cfg.sites && cfg.trace.is_none() {
+    let Some(cfg) = cfg.filter(|c| c.counters || c.sites || c.trace.is_some()) else {
         return;
-    }
-    let report = run_obs_pass(workloads, depth, config, spec, &cfg, traces);
-    if let Err(e) = report.emit(&cfg) {
+    };
+    let report = run_obs_pass(workloads, depth, config, spec, cfg, traces);
+    if let Err(e) = report.emit(cfg) {
         eprintln!("error: cannot write observability output: {e}");
         std::process::exit(1);
     }

@@ -23,22 +23,19 @@
 //! "where does ARVI win" table, consumed by the `obs_report` binary.
 
 use std::collections::HashMap;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 use arvi_obs::counters::ISSUE_BUCKETS;
 use arvi_obs::{CounterProbe, Log2Hist, SiteProbe, SiteStats};
-use arvi_sim::{intern_name, simulate_source_probed, PredictorConfig, SimParams};
+use arvi_sim::{execute, intern_name, simulate_source_probed, PredictorConfig, SimParams};
 use arvi_workloads::WorkloadSource;
 
 use crate::harness::Spec;
-use crate::obs::obs_from_args;
-use crate::report::{io_error_at, write_text, Json};
-use crate::resilience::{cell_fingerprint, panic_message, Resilience};
+use crate::report::{write_text, Json};
+use crate::resilience::{cell_fingerprint, panic_message, Journal, Resilience};
 use crate::sweep::{trace_len, SweepPoint, TraceSet};
+use crate::Run;
 
 /// The probes collected from one grid cell.
 #[derive(Debug, Clone)]
@@ -94,89 +91,20 @@ pub struct ObsGrid {
     pub cells_committed: Vec<Option<u64>>,
 }
 
-/// Append-only journal of completed obs cells, stored beside the sweep
-/// journal as `<journal>.obs` (same line discipline: header comment,
-/// then one `<fingerprint-hex16> <compact-json>` line per cell).
-struct ObsJournal {
-    path: PathBuf,
-    file: Mutex<std::fs::File>,
+/// Decodes one obs journal entry (see [`obs_entry_json`]).
+fn obs_entry_from_json(entry: &Json) -> Option<CellObs> {
+    Some(CellObs {
+        counters: counters_from_json(entry.get("counters")?)?,
+        sites: sites_from_json(entry.get("sites")?)?,
+    })
 }
 
-impl ObsJournal {
-    fn open_append(path: &Path, spec: Spec) -> std::io::Result<ObsJournal> {
-        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            std::fs::create_dir_all(parent).map_err(|e| io_error_at(parent, e))?;
-        }
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .map_err(|e| io_error_at(path, e))?;
-        if file.metadata().map_err(|e| io_error_at(path, e))?.len() == 0 {
-            writeln!(
-                file,
-                "# arvi obs journal v1 seed={} warmup={} measure={}",
-                spec.seed, spec.warmup, spec.measure
-            )
-            .map_err(|e| io_error_at(path, e))?;
-        }
-        Ok(ObsJournal {
-            path: path.to_path_buf(),
-            file: Mutex::new(file),
-        })
-    }
-
-    fn append(&self, fingerprint: u64, obs: &CellObs) {
-        let entry = Json::obj([
-            ("counters", counters_to_json(&obs.counters)),
-            ("sites", sites_to_json(&obs.sites)),
-        ]);
-        let line = format!("{fingerprint:016x} {}", entry.render_compact());
-        let mut file = self.file.lock().expect("obs journal writer panicked");
-        if let Err(e) = writeln!(file, "{line}").and_then(|()| file.flush()) {
-            eprintln!(
-                "warning: cannot append to obs journal {}: {e}",
-                self.path.display()
-            );
-        }
-    }
-
-    fn load(path: &Path) -> HashMap<u64, CellObs> {
-        let mut entries = HashMap::new();
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(_) => return entries,
-        };
-        for (ln, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let parsed = line.split_once(' ').and_then(|(fp, json)| {
-                let fp = u64::from_str_radix(fp, 16).ok()?;
-                let entry = Json::parse(json).ok()?;
-                Some((
-                    fp,
-                    CellObs {
-                        counters: counters_from_json(entry.get("counters")?)?,
-                        sites: sites_from_json(entry.get("sites")?)?,
-                    },
-                ))
-            });
-            match parsed {
-                Some((fp, obs)) => {
-                    entries.insert(fp, obs);
-                }
-                None => eprintln!(
-                    "warning: obs journal {}: skipping malformed line {} \
-                     (torn write from an interrupted run?)",
-                    path.display(),
-                    ln + 1
-                ),
-            }
-        }
-        entries
-    }
+/// Serializes one probed cell for the obs journal, losslessly.
+fn obs_entry_json(obs: &CellObs) -> Json {
+    Json::obj([
+        ("counters", counters_to_json(&obs.counters)),
+        ("sites", sites_to_json(&obs.sites)),
+    ])
 }
 
 /// The obs journal's conventional location beside a sweep journal.
@@ -187,13 +115,13 @@ fn obs_journal_path(sweep_journal: &Path) -> PathBuf {
 }
 
 /// Probes every grid point (counter + site probes, always both) and
-/// merges the telemetry. Mirrors the resilient sweep runner: cells run
-/// under `catch_unwind` on up to `threads` workers, a
-/// [`crate::resilience::FaultKind::KillAfter`] plan stops dispatch, and
-/// with a journal configured ([`Resilience::journal`] — the obs journal
-/// lives beside it as `<journal>.obs`) completed cells are appended as
-/// they finish and restored on [`Resilience::resume`]. Restored
-/// telemetry is byte-identical to re-simulated telemetry — the
+/// merges the telemetry. The job list runs on [`arvi_sim::execute`] like
+/// the sweep itself: cells run under `catch_unwind` on up to `threads`
+/// workers, a [`crate::resilience::FaultKind::KillAfter`] plan stops
+/// dispatch, and with a journal configured ([`Resilience::journal`] —
+/// the obs journal lives beside it as `<journal>.obs`) completed cells
+/// are appended as they finish and restored on [`Resilience::resume`].
+/// Restored telemetry is byte-identical to re-simulated telemetry — the
 /// serialization is full-fidelity by construction.
 pub fn run_obs_grid(
     points: &[SweepPoint],
@@ -203,81 +131,66 @@ pub fn run_obs_grid(
     res: Option<&Resilience>,
     progress: bool,
 ) -> ObsGrid {
-    let journal_path = res.and_then(|r| r.journal.as_deref()).map(obs_journal_path);
-    let prior = match (&journal_path, res.is_some_and(|r| r.resume)) {
-        (Some(path), true) => ObsJournal::load(path),
-        _ => HashMap::new(),
-    };
-    let journal = journal_path.as_ref().and_then(|path| {
-        ObsJournal::open_append(path, spec)
-            .map_err(|e| eprintln!("warning: cannot open obs journal: {e} (continuing without)"))
-            .ok()
-    });
-    let plan = res.and_then(|r| r.plan.as_deref());
-    let telemetry = res.and_then(|r| r.telemetry.as_deref());
-
-    let threads = threads.clamp(1, points.len().max(1));
+    let default = Resilience::default();
+    let res = res.unwrap_or(&default);
+    let journal_path = res.journal.as_deref().map(obs_journal_path);
+    let (journal, prior) = Journal::open(
+        journal_path.as_deref(),
+        "obs",
+        spec,
+        res.resume,
+        obs_entry_from_json,
+    );
+    let telemetry = res.telemetry.as_deref();
     let start = Instant::now();
-    let cursor = AtomicUsize::new(0);
-    let completed = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<ObsCell>>> = points.iter().map(|_| Mutex::new(None)).collect();
-    let worker = || loop {
-        if plan.is_some_and(|p| p.kill_now(completed.load(Ordering::Acquire))) {
-            break;
-        }
-        let i = cursor.fetch_add(1, Ordering::Relaxed);
-        let Some(point) = points.get(i) else { break };
-        if progress {
-            eprintln!("obs grid: {point}");
-        }
-        if let Some(t) = telemetry {
-            t.event(
-                "cell_start",
-                vec![
-                    ("pass".to_string(), Json::str("obs")),
-                    ("cell".to_string(), Json::Num(i as f64)),
-                    ("point".to_string(), Json::str(point.to_string())),
-                ],
-            );
-        }
-        let cell = run_obs_cell(point, spec, traces, &prior);
-        if let ObsCell::Ok {
-            obs,
-            resumed: false,
-        } = &cell
-        {
-            if let Some(journal) = &journal {
-                journal.append(cell_fingerprint(point, spec), obs);
+    let cells = execute(
+        points,
+        threads,
+        |n| res.stop_after(n),
+        |i, point| {
+            if progress {
+                eprintln!("obs grid: {point}");
             }
-        }
-        if let Some(t) = telemetry {
-            let outcome = match &cell {
-                ObsCell::Ok { resumed: true, .. } => "ok-resumed",
-                ObsCell::Ok { .. } => "ok",
-                ObsCell::Failed { .. } => "failed",
-            };
-            t.event(
-                "cell_end",
-                vec![
-                    ("pass".to_string(), Json::str("obs")),
-                    ("cell".to_string(), Json::Num(i as f64)),
-                    ("point".to_string(), Json::str(point.to_string())),
-                    ("outcome".to_string(), Json::str(outcome)),
-                ],
-            );
-        }
-        *slots[i].lock().expect("obs slot") = Some(cell);
-        completed.fetch_add(1, Ordering::Release);
-    };
-    if threads == 1 {
-        worker();
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(worker);
+            if let Some(t) = telemetry {
+                t.event(
+                    "cell_start",
+                    vec![
+                        ("pass".to_string(), Json::str("obs")),
+                        ("cell".to_string(), Json::Num(i as f64)),
+                        ("point".to_string(), Json::str(point.to_string())),
+                    ],
+                );
             }
-        });
-    }
+            let cell = run_obs_cell(point, spec, traces, &prior);
+            if let (
+                ObsCell::Ok {
+                    obs,
+                    resumed: false,
+                },
+                Some(journal),
+            ) = (&cell, &journal)
+            {
+                journal.append(cell_fingerprint(point, spec), &obs_entry_json(obs));
+            }
+            if let Some(t) = telemetry {
+                let outcome = match &cell {
+                    ObsCell::Ok { resumed: true, .. } => "ok-resumed",
+                    ObsCell::Ok { .. } => "ok",
+                    ObsCell::Failed { .. } => "failed",
+                };
+                t.event(
+                    "cell_end",
+                    vec![
+                        ("pass".to_string(), Json::str("obs")),
+                        ("cell".to_string(), Json::Num(i as f64)),
+                        ("point".to_string(), Json::str(point.to_string())),
+                        ("outcome".to_string(), Json::str(outcome)),
+                    ],
+                );
+            }
+            cell
+        },
+    );
 
     // Merge sequentially in point order: the rollup is deterministic
     // regardless of which worker finished which cell first.
@@ -292,8 +205,7 @@ pub fn run_obs_grid(
         sites: SiteProbe::new(),
         cells_committed: vec![None; points.len()],
     };
-    for (i, (point, slot)) in points.iter().zip(slots).enumerate() {
-        let cell = slot.into_inner().expect("obs slot");
+    for (i, (point, cell)) in points.iter().zip(cells).enumerate() {
         match cell {
             Some(ObsCell::Ok { obs, resumed }) => {
                 grid.completed += 1;
@@ -935,30 +847,21 @@ impl Attribution {
     }
 }
 
-/// Runs the grid-probe pass and writes the rollup when `--obs-grid` is
-/// present in `args`. Exits 2 on malformed flags (consistent with
-/// [`crate::obs::maybe_obs_pass`], which the binaries call first — by
-/// the time this runs the flags have already been validated) and 1 when
-/// the rollup cannot be written. The experiment binaries call this with
-/// their natural grid after the tables.
-pub fn maybe_obs_grid(
-    args: &[String],
-    points: &[SweepPoint],
-    spec: Spec,
-    threads: usize,
-    traces: Option<&TraceSet>,
-    res: Option<&Resilience>,
-) {
-    let cfg = match obs_from_args(args) {
-        Ok(Some(cfg)) => cfg,
-        Ok(None) => return,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
+/// Runs the grid-probe pass over `points` and writes the rollup when
+/// `run` has `--obs-grid`; exits 1 when the rollup cannot be written.
+/// The experiment binaries call this with their natural grid after the
+/// tables.
+pub fn maybe_obs_grid(run: &Run, points: &[SweepPoint]) {
+    let Some(cfg) = run.obs.as_ref() else { return };
     let Some(out) = &cfg.grid else { return };
-    let grid = run_obs_grid(points, spec, threads, traces, res, false);
+    let grid = run_obs_grid(
+        points,
+        run.spec,
+        run.threads,
+        Some(&run.traces),
+        Some(&run.res),
+        false,
+    );
     let json = obs_grid_json(&grid, cfg.top_sites);
     if let Err(e) = write_text(out, &(json.render_compact() + "\n")) {
         eprintln!("error: cannot write obs grid rollup: {e}");

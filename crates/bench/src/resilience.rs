@@ -2,15 +2,17 @@
 //! deterministic fault-injection harness.
 //!
 //! A full-spec grid is hours of compute; one corrupt cached trace or one
-//! panicking cell must not take the whole run down. This module makes
-//! the sweep pipeline crash-safe end to end:
+//! panicking cell must not take the whole run down. Every sweep — plain,
+//! journaled or sampled — runs through the one grid runner here, under
+//! a [`Resilience`] policy ([`Resilience::default`] when no flag asks for
+//! more):
 //!
-//! * **Per-cell fault isolation** — [`run_sweep_resilient`] runs every
-//!   grid cell under `catch_unwind` with a soft deadline, and reports a
-//!   structured [`CellOutcome`] per cell instead of aborting the grid.
-//!   Panics whose message carries
-//!   [`arvi_trace::REPLAY_PANIC_PREFIX`] are classified as trace
-//!   failures, everything else as a generic cell panic.
+//! * **Per-cell fault isolation** — every grid cell runs under
+//!   `catch_unwind` with an optional soft deadline and reports a
+//!   structured [`CellOutcome`] instead of aborting the grid. Panics
+//!   whose message carries [`arvi_trace::REPLAY_PANIC_PREFIX`] are
+//!   classified as trace failures, everything else as a generic cell
+//!   panic.
 //! * **Graceful degradation** — a corrupt on-disk trace is quarantined
 //!   (renamed `*.quarantined`, logged to `quarantine.log`) and
 //!   re-recorded once by [`TraceSet::record_resilient`]; if re-recording
@@ -18,9 +20,9 @@
 //!   through the `InstSource` seam. Replay is bit-identical to live
 //!   emulation, so a degraded sweep still reports the same numbers —
 //!   the degradation is recorded in the outcome, not in the data.
-//! * **Durability** — completed cells are journaled (fingerprint +
-//!   result, one line per cell, appended as cells finish) so an
-//!   interrupted sweep resumes by skipping finished cells
+//! * **Durability** — finished jobs (whole cells or sampling units) are
+//!   journaled (fingerprint + result, one line per job, appended as jobs
+//!   finish) so an interrupted sweep resumes by skipping finished work
 //!   ([`Resilience::resume`]). Trace files themselves are written
 //!   atomically by `arvi-trace` (temp file + fsync + rename).
 //! * **Deterministic fault injection** — a [`FaultPlan`] (parsed from
@@ -32,19 +34,21 @@
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use arvi_sim::{intern_name, PredictorConfig, SimResult};
+use arvi_sampling::SamplePlan;
+use arvi_sim::{execute, intern_name, PredictorConfig, SimResult};
 use arvi_stats::Accuracy;
 use arvi_trace::{StdIo, TraceError, TraceIo, REPLAY_PANIC_PREFIX};
 
 use crate::events::SweepTelemetry;
 use crate::harness::{run_one, run_one_traced, Spec};
 use crate::report::{io_error_at, Json};
-use crate::sweep::{trace_len, SweepPoint, TraceSet};
-use crate::workload::{fnv1a, FNV_OFFSET};
+use crate::sampling::{assemble_cell, run_unit_job, unit_fingerprint, SampledSweep, UnitDone};
+use crate::sweep::{trace_len, SweepPoint, TraceProvenance, TraceSet};
+use crate::workload::{fnv1a, Workload, FNV_OFFSET};
 
 /// How a successful cell got its result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -142,18 +146,6 @@ impl CellOutcome {
         }
     }
 
-    /// A short human label for reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            CellOutcome::Ok(s) if s.resumed => "ok (resumed)",
-            CellOutcome::Ok(_) => "ok",
-            CellOutcome::Panicked { .. } => "panicked",
-            CellOutcome::TimedOut { .. } => "timed out",
-            CellOutcome::TraceError { .. } => "trace error",
-            CellOutcome::Skipped => "skipped",
-        }
-    }
-
     /// The failure reason, for everything except `Ok`.
     pub fn failure(&self) -> Option<String> {
         match self {
@@ -170,10 +162,10 @@ impl CellOutcome {
     }
 }
 
-/// Fault-tolerance policy for a sweep. [`Resilience::default`] journals
-/// nothing, injects nothing, and degrades gracefully (quarantine +
-/// re-record + live fallback all on).
-#[derive(Debug, Clone, Default)]
+/// Fault-tolerance policy for a sweep. Every sweep runs under one;
+/// [`Resilience::default`] journals nothing, injects nothing, and
+/// degrades gracefully (quarantine + re-record + live fallback all on).
+#[derive(Debug, Clone)]
 pub struct Resilience {
     /// Where to journal completed cells (appended as cells finish).
     pub journal: Option<PathBuf>,
@@ -198,9 +190,8 @@ pub struct Resilience {
     pub telemetry: Option<Arc<SweepTelemetry>>,
 }
 
-impl Resilience {
-    /// The graceful-degradation defaults with no journal or fault plan.
-    pub fn new() -> Resilience {
+impl Default for Resilience {
+    fn default() -> Resilience {
         Resilience {
             journal: None,
             resume: false,
@@ -210,6 +201,19 @@ impl Resilience {
             live_fallback: true,
             telemetry: None,
         }
+    }
+}
+
+impl Resilience {
+    /// The graceful-degradation defaults ([`Resilience::default`]).
+    pub fn new() -> Resilience {
+        Resilience::default()
+    }
+
+    /// Whether the fault plan's simulated kill stops dispatch now that
+    /// `completed` jobs have finished.
+    pub(crate) fn stop_after(&self, completed: usize) -> bool {
+        self.plan.as_deref().is_some_and(|p| p.kill_now(completed))
     }
 
     /// Sets the journal path (builder style).
@@ -543,9 +547,13 @@ fn accuracy_from(json: &Json, path: &str) -> Option<Accuracy> {
     }
 }
 
+/// One sweep journal entry: a cell's (or a sampling unit's) result, how
+/// it was obtained, and how long it took.
+pub(crate) type JournalEntry = (SimResult, Degradation, Duration);
+
 /// Serializes one completed cell for the journal. All counters fit f64
 /// exactly (they are bounded by the instruction window, far below 2^53).
-fn entry_json(result: &SimResult, degradation: Degradation, duration: Duration) -> Json {
+pub(crate) fn entry_json(result: &SimResult, degradation: Degradation, duration: Duration) -> Json {
     let w = &result.window;
     Json::obj([
         ("name", Json::str(result.name)),
@@ -572,7 +580,7 @@ fn entry_json(result: &SimResult, degradation: Degradation, duration: Duration) 
     ])
 }
 
-fn entry_from_json(json: &Json) -> Option<(SimResult, Degradation, Duration)> {
+fn entry_from_json(json: &Json) -> Option<JournalEntry> {
     let name = match json.get("name")? {
         Json::Str(s) => intern_name(s),
         _ => return None,
@@ -614,21 +622,55 @@ fn entry_from_json(json: &Json) -> Option<(SimResult, Degradation, Duration)> {
     ))
 }
 
-/// Append-only journal of completed sweep cells: a header comment, then
-/// one `<fingerprint-hex16> <compact-json>` line per cell, appended
-/// (and flushed) as each cell finishes. Crash-tolerant on both ends: a
-/// torn final line from an interrupted writer is skipped (with a
-/// warning) by the loader, and everything before it still resumes.
+/// Append-only journal of finished jobs: a `# arvi <kind> journal v1`
+/// header line, then one `<fingerprint-hex16> <compact-json>` line per
+/// job, appended (and flushed) as each job finishes. The sweep journal
+/// (kind `sweep`: whole cells and sampling units) and the obs journal
+/// beside it (kind `obs`: probed cells) share this one format.
+/// Crash-tolerant on both ends: a torn final line from an interrupted
+/// writer is skipped (with a warning) by the loader, and everything
+/// before it still resumes.
 #[derive(Debug)]
-pub struct SweepJournal {
+pub(crate) struct Journal {
     path: PathBuf,
+    kind: &'static str,
     file: Mutex<std::fs::File>,
 }
 
-impl SweepJournal {
-    /// Opens `path` for appending, writing a header line when the file
+impl Journal {
+    /// The journal a run appends to and the entries it resumes from:
+    /// with `path` set, loads its well-formed entries through `decode`
+    /// when `resume` is on, then opens it for appending (warning and
+    /// continuing without a journal when that fails).
+    pub(crate) fn open<E>(
+        path: Option<&Path>,
+        kind: &'static str,
+        spec: Spec,
+        resume: bool,
+        decode: impl Fn(&Json) -> Option<E>,
+    ) -> (Option<Journal>, HashMap<u64, E>) {
+        let Some(path) = path else {
+            return (None, HashMap::new());
+        };
+        let prior = if resume {
+            Journal::load(path, kind, decode)
+        } else {
+            HashMap::new()
+        };
+        let journal = Journal::open_append(path, kind, spec)
+            .map_err(|e| {
+                eprintln!(
+                    "warning: cannot open {kind} journal {}: {e} (continuing without)",
+                    path.display()
+                )
+            })
+            .ok();
+        (journal, prior)
+    }
+
+    /// Opens `path` for appending, writing the header line when the file
     /// is new or empty.
-    pub fn open_append(path: &Path, spec: Spec) -> std::io::Result<SweepJournal> {
+    fn open_append(path: &Path, kind: &'static str, spec: Spec) -> std::io::Result<Journal> {
         if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
             std::fs::create_dir_all(parent).map_err(|e| io_error_at(parent, e))?;
         }
@@ -640,52 +682,39 @@ impl SweepJournal {
         if file.metadata().map_err(|e| io_error_at(path, e))?.len() == 0 {
             writeln!(
                 file,
-                "# arvi sweep journal v1 seed={} warmup={} measure={}",
+                "# arvi {kind} journal v1 seed={} warmup={} measure={}",
                 spec.seed, spec.warmup, spec.measure
             )
             .map_err(|e| io_error_at(path, e))?;
         }
-        Ok(SweepJournal {
+        Ok(Journal {
             path: path.to_path_buf(),
+            kind,
             file: Mutex::new(file),
         })
     }
 
-    /// The journal's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Appends one completed cell. Persistence failures only warn — a
-    /// full disk must not fail the sweep itself.
-    pub fn append(
-        &self,
-        fingerprint: u64,
-        result: &SimResult,
-        degradation: Degradation,
-        duration: Duration,
-    ) {
-        let line = format!(
-            "{fingerprint:016x} {}",
-            entry_json(result, degradation, duration).render_compact()
-        );
+    /// Appends one finished job. Persistence failures only warn — a full
+    /// disk must not fail the sweep itself.
+    pub(crate) fn append(&self, fingerprint: u64, entry: &Json) {
+        let line = format!("{fingerprint:016x} {}", entry.render_compact());
         let mut file = self.file.lock().expect("journal writer panicked");
         if let Err(e) = writeln!(file, "{line}").and_then(|()| file.flush()) {
             eprintln!(
-                "warning: cannot append to sweep journal {}: {e}",
+                "warning: cannot append to {} journal {}: {e}",
+                self.kind,
                 self.path.display()
             );
         }
     }
 
-    /// Loads every well-formed entry of the journal at `path`. A
-    /// missing file is an empty journal; malformed lines (e.g. a torn
-    /// final line from a crashed writer) are skipped with a warning.
-    pub fn load(path: &Path) -> HashMap<u64, (SimResult, Degradation, Duration)> {
+    /// Loads every well-formed entry of the journal at `path`. A missing
+    /// file is an empty journal; malformed lines (e.g. a torn final line
+    /// from a crashed writer) are skipped with a warning.
+    fn load<E>(path: &Path, kind: &str, decode: impl Fn(&Json) -> Option<E>) -> HashMap<u64, E> {
         let mut entries = HashMap::new();
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(_) => return entries,
+        let Ok(text) = std::fs::read_to_string(path) else {
+            return entries;
         };
         for (ln, line) in text.lines().enumerate() {
             let line = line.trim();
@@ -694,15 +723,14 @@ impl SweepJournal {
             }
             let parsed = line.split_once(' ').and_then(|(fp, json)| {
                 let fp = u64::from_str_radix(fp, 16).ok()?;
-                let entry = entry_from_json(&Json::parse(json).ok()?)?;
-                Some((fp, entry))
+                Some((fp, decode(&Json::parse(json).ok()?)?))
             });
             match parsed {
                 Some((fp, entry)) => {
                     entries.insert(fp, entry);
                 }
                 None => eprintln!(
-                    "warning: sweep journal {}: skipping malformed line {} \
+                    "warning: {kind} journal {}: skipping malformed line {} \
                      (torn write from an interrupted run?)",
                     path.display(),
                     ln + 1
@@ -713,18 +741,31 @@ impl SweepJournal {
     }
 }
 
+/// One schedulable job of a grid run: a whole cell, or one sampling
+/// unit of a sampled cell.
+#[derive(Debug, Clone, Copy)]
+enum Job {
+    Cell(usize),
+    Unit { cell: usize, unit: usize },
+}
+
+/// What a finished job produced.
+enum Done {
+    Cell(CellOutcome),
+    Unit(UnitDone),
+}
+
 /// Runs every grid point with per-cell fault isolation, returning one
 /// [`CellOutcome`] per point (item order, like
 /// [`crate::sweep::run_sweep_with`]). No cell failure aborts the grid.
 ///
-/// With `traces` set, cells replay shared recordings exactly like the
-/// strict sweep; a workload without a usable recording degrades to live
-/// emulation (or to [`CellOutcome::TraceError`] when
-/// [`Resilience::live_fallback`] is off). With a journal configured,
-/// completed cells are appended as they finish; with
-/// [`Resilience::resume`], previously journaled cells are restored
-/// without re-running — restored results are bit-identical to simulated
-/// ones, they are the simulated ones.
+/// With `traces` set, cells replay shared recordings; a workload without
+/// a usable recording degrades to live emulation (or to
+/// [`CellOutcome::TraceError`] when [`Resilience::live_fallback`] is
+/// off). With a journal configured, completed cells are appended as they
+/// finish; with [`Resilience::resume`], previously journaled cells are
+/// restored without re-running — restored results are bit-identical to
+/// simulated ones, they are the simulated ones.
 pub fn run_sweep_resilient(
     points: &[SweepPoint],
     spec: Spec,
@@ -733,22 +774,64 @@ pub fn run_sweep_resilient(
     traces: Option<&TraceSet>,
     res: &Resilience,
 ) -> Vec<CellOutcome> {
-    let prior = match (&res.journal, res.resume) {
-        (Some(path), true) => SweepJournal::load(path),
-        _ => HashMap::new(),
-    };
-    let journal = res.journal.as_ref().and_then(|path| {
-        SweepJournal::open_append(path, spec)
-            .map_err(|e| {
-                eprintln!(
-                    "warning: cannot open sweep journal {}: {e} (continuing without)",
-                    path.display()
-                )
-            })
-            .ok()
-    });
+    run_grid(points, spec, None, threads, progress, traces, res).outcomes
+}
 
-    let threads = threads.clamp(1, points.len().max(1));
+/// The grid runner every sweep goes through: one job list on
+/// [`arvi_sim::execute`], stopped by the fault plan's simulated kill.
+///
+/// Without a `plan` every cell is one job ([`run_cell`]). With a plan,
+/// each cell whose workload has a usable recording becomes one job per
+/// sampling unit (journaled and resumed per unit, then aggregated in
+/// unit order); a cell without one cannot be sampled — sampling seeks,
+/// live emulation cannot — and stays a whole-run job, which degrades to
+/// live emulation like any other.
+pub(crate) fn run_grid(
+    points: &[SweepPoint],
+    spec: Spec,
+    plan: Option<&SamplePlan>,
+    threads: usize,
+    progress: bool,
+    traces: Option<&TraceSet>,
+    res: &Resilience,
+) -> SampledSweep {
+    let (journal, prior) = Journal::open(
+        res.journal.as_deref(),
+        "sweep",
+        spec,
+        res.resume,
+        entry_from_json,
+    );
+    // Detail windows live inside the measurement window; unit warm-up
+    // may reach back into the spec warm-up prefix (recorded too).
+    let units = plan.map_or_else(Vec::new, |p| p.units(spec.warmup, spec.measure, spec.seed));
+    let sampled: Vec<Option<Degradation>> = points
+        .iter()
+        .map(|p| {
+            let traces = traces.filter(|_| plan.is_some())?;
+            traces
+                .get(&p.workload)
+                .filter(|t| t.len() >= trace_len(spec))
+                .map(|_| replay_degradation(traces, &p.workload))
+        })
+        .collect();
+    let mut jobs = Vec::new();
+    for (cell, mode) in sampled.iter().enumerate() {
+        match mode {
+            Some(_) => jobs.extend((0..units.len()).map(|unit| Job::Unit { cell, unit })),
+            None => jobs.push(Job::Cell(cell)),
+        }
+    }
+
+    let threads = threads.clamp(1, jobs.len().max(1));
+    if let (Some(plan), true) = (plan, progress) {
+        eprintln!(
+            "sampled sweep: {} cells x {} units (plan {plan}), {} work items on {threads} threads",
+            points.len(),
+            units.len(),
+            jobs.len(),
+        );
+    }
     let telemetry = res.telemetry.as_deref();
     let sweep_start = Instant::now();
     if let Some(t) = telemetry {
@@ -760,19 +843,7 @@ pub fn run_sweep_resilient(
             ],
         );
     }
-    let cursor = AtomicUsize::new(0);
-    let completed = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<CellOutcome>>> = points.iter().map(|_| Mutex::new(None)).collect();
-    let worker = || loop {
-        if res
-            .plan
-            .as_deref()
-            .is_some_and(|p| p.kill_now(completed.load(Ordering::Acquire)))
-        {
-            break;
-        }
-        let i = cursor.fetch_add(1, Ordering::Relaxed);
-        let Some(point) = points.get(i) else { break };
+    let cell_start = |i: usize, point: &SweepPoint| {
         if progress {
             eprintln!("sweep: {point}");
         }
@@ -785,55 +856,104 @@ pub fn run_sweep_resilient(
                 ],
             );
         }
-        let outcome = run_cell(i, point, spec, traces, res, &prior);
-        if let CellOutcome::Ok(s) = &outcome {
-            if !s.resumed {
-                if let Some(journal) = &journal {
-                    journal.append(
-                        cell_fingerprint(point, spec),
-                        &s.result,
-                        s.degradation,
-                        s.duration,
-                    );
-                }
-            }
-        }
-        if let Some(t) = telemetry {
-            emit_cell_events(t, i, point, &outcome, traces.is_some());
-        }
-        *slots[i].lock().expect("outcome slot") = Some(outcome);
-        completed.fetch_add(1, Ordering::Release);
     };
-    if threads == 1 {
-        worker();
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(worker);
+    let done = execute(
+        &jobs,
+        threads,
+        |n| res.stop_after(n),
+        |_, &job| match job {
+            Job::Cell(i) => {
+                let point = &points[i];
+                cell_start(i, point);
+                let outcome = run_cell(i, point, spec, traces, res, &prior);
+                if let (CellOutcome::Ok(s), Some(journal)) = (&outcome, &journal) {
+                    if !s.resumed {
+                        let entry = entry_json(&s.result, s.degradation, s.duration);
+                        journal.append(cell_fingerprint(point, spec), &entry);
+                    }
+                }
+                if let Some(t) = telemetry {
+                    emit_cell_events(t, i, point, &outcome, traces.is_some());
+                }
+                Done::Cell(outcome)
             }
-        });
-    }
-    let outcomes: Vec<CellOutcome> = slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .expect("outcome slot")
-                .unwrap_or(CellOutcome::Skipped)
-        })
-        .collect();
-    if let Some(t) = telemetry {
-        for o in &outcomes {
-            if matches!(o, CellOutcome::Skipped) {
+            Job::Unit { cell, unit } => {
+                let point = &points[cell];
+                if unit == 0 {
+                    cell_start(cell, point);
+                }
+                let plan = plan.expect("units exist only under a plan");
+                let trace = traces
+                    .and_then(|t| t.get(&point.workload))
+                    .expect("sampled cells have a recording");
+                let fp = unit_fingerprint(point, spec, plan, unit as u64);
+                Done::Unit(run_unit_job(
+                    point,
+                    fp,
+                    trace,
+                    &units[unit],
+                    &prior,
+                    journal.as_ref(),
+                ))
+            }
+        },
+    );
+
+    // Assemble per cell, in point order: the job list holds each
+    // sampled cell's units contiguously.
+    let mut done = done.into_iter();
+    let mut sweep = SampledSweep {
+        outcomes: Vec::with_capacity(points.len()),
+        reports: Vec::with_capacity(points.len()),
+    };
+    for (i, (point, mode)) in points.iter().zip(&sampled).enumerate() {
+        // Whether this cell sent a `cell_start` (whole-cell jobs close
+        // theirs as they finish).
+        let (outcome, report, started) = match mode {
+            None => match done.next().flatten() {
+                Some(Done::Cell(outcome)) => (outcome, None, false),
+                _ => (CellOutcome::Skipped, None, false),
+            },
+            Some(degradation) => {
+                let slots: Vec<_> = done
+                    .by_ref()
+                    .take(units.len())
+                    .map(|d| match d {
+                        Some(Done::Unit(u)) => Some(u),
+                        _ => None,
+                    })
+                    .collect();
+                let started = slots.first().is_some_and(Option::is_some);
+                let (outcome, report) = assemble_cell(point, spec, i, slots, *degradation);
+                (outcome, report, started)
+            }
+        };
+        if let Some(t) = telemetry {
+            // A cell a kill stopped mid-way still closes with a
+            // `skipped` cell_end; one never started is only counted.
+            if started {
+                emit_cell_events(t, i, point, &outcome, true);
+            } else if matches!(outcome, CellOutcome::Skipped) {
                 t.cell_finished("skipped", None, false, None);
             }
         }
+        sweep.outcomes.push(outcome);
+        sweep.reports.push(report);
+    }
+    if let Some(t) = telemetry {
         t.event(
             "sweep_end",
             vec![
-                ("cells".to_string(), Json::Num(outcomes.len() as f64)),
+                ("cells".to_string(), Json::Num(points.len() as f64)),
                 (
                     "completed".to_string(),
-                    Json::Num(outcomes.iter().filter(|o| o.success().is_some()).count() as f64),
+                    Json::Num(
+                        sweep
+                            .outcomes
+                            .iter()
+                            .filter(|o| o.success().is_some())
+                            .count() as f64,
+                    ),
                 ),
                 (
                     "dur_us".to_string(),
@@ -843,11 +963,19 @@ pub fn run_sweep_resilient(
         );
         t.sweep_finished();
     }
-    outcomes
+    sweep
 }
 
-/// The normalized outcome key used in events and metric labels (no
-/// spaces or parentheses, unlike [`CellOutcome::label`]).
+/// How a cell replaying `workload`'s recording obtained it: a recording
+/// that replaced a quarantined corrupt file is a degradation.
+fn replay_degradation(traces: &TraceSet, workload: &Workload) -> Degradation {
+    match traces.provenance(workload) {
+        Some(TraceProvenance::Rerecorded { corrupt: true }) => Degradation::Requarantined,
+        _ => Degradation::None,
+    }
+}
+
+/// The normalized outcome key used in events and metric labels.
 fn outcome_key(outcome: &CellOutcome) -> &'static str {
     match outcome {
         CellOutcome::Ok(_) => "ok",
@@ -919,7 +1047,7 @@ fn run_cell(
     spec: Spec,
     traces: Option<&TraceSet>,
     res: &Resilience,
-    prior: &HashMap<u64, (SimResult, Degradation, Duration)>,
+    prior: &HashMap<u64, JournalEntry>,
 ) -> CellOutcome {
     if let Some((result, degradation, duration)) = prior.get(&cell_fingerprint(point, spec)) {
         return CellOutcome::Ok(CellSuccess {
@@ -956,18 +1084,10 @@ fn run_cell(
                 Degradation::None,
             )),
             Some(traces) => match traces.get(&point.workload) {
-                Some(trace) if trace.len() >= trace_len(spec) => {
-                    let degradation = match traces.provenance(&point.workload) {
-                        Some(TraceProvenance::Rerecorded { corrupt: true }) => {
-                            Degradation::Requarantined
-                        }
-                        _ => Degradation::None,
-                    };
-                    Ok((
-                        run_one_traced(trace, point.depth, point.config, spec),
-                        degradation,
-                    ))
-                }
+                Some(trace) if trace.len() >= trace_len(spec) => Ok((
+                    run_one_traced(trace, point.depth, point.config, spec),
+                    replay_degradation(traces, &point.workload),
+                )),
                 Some(trace) => degrade(format!(
                     "trace {} holds {} instructions but the window needs {}",
                     trace.name(),
@@ -1041,7 +1161,7 @@ impl std::fmt::Display for SweepIncomplete {
         }
         write!(
             f,
-            "completed cells are journaled; re-run with --resume to finish the rest"
+            "completed cells are journaled under --journal; re-run with --resume to finish the rest"
         )
     }
 }
@@ -1080,7 +1200,7 @@ pub fn collect_results(
 
 /// One-line degradation/resume summary of a resilient sweep, or `None`
 /// when every cell ran the normal path (nothing worth reporting).
-pub fn outcome_summary(outcomes: &[CellOutcome]) -> Option<String> {
+pub(crate) fn outcome_summary(outcomes: &[CellOutcome]) -> Option<String> {
     let mut resumed = 0usize;
     let mut requarantined = 0usize;
     let mut live = 0usize;
@@ -1123,7 +1243,7 @@ pub fn outcome_summary(outcomes: &[CellOutcome]) -> Option<String> {
 /// (from [`TraceSet::record_elapsed`]); `None` for sweeps with no trace
 /// set. Returns `None` when no cell ran in this process (e.g. a fully
 /// resumed grid).
-pub fn timing_summary(
+pub(crate) fn timing_summary(
     outcomes: &[CellOutcome],
     record_elapsed: Option<Duration>,
 ) -> Option<String> {
@@ -1186,8 +1306,6 @@ pub fn timing_summary(
     Some(out)
 }
 
-pub use crate::sweep::TraceProvenance;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1208,6 +1326,13 @@ mod tests {
             measure: 1_500,
             seed: 3,
         }
+    }
+
+    #[test]
+    fn default_policy_degrades_gracefully() {
+        let res = Resilience::default();
+        assert!(res.rerecord && res.live_fallback);
+        assert!(res.journal.is_none() && !res.resume && res.plan.is_none());
     }
 
     #[test]
@@ -1286,15 +1411,17 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("arvi-journal-test-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let path = dir.join("sweep.journal");
-        let journal = SweepJournal::open_append(&path, spec).unwrap();
+        let journal = Journal::open_append(&path, "sweep", spec).unwrap();
         journal.append(
             cell_fingerprint(&p, spec),
-            &result,
-            Degradation::Requarantined,
-            Duration::from_micros(123_456),
+            &entry_json(
+                &result,
+                Degradation::Requarantined,
+                Duration::from_micros(123_456),
+            ),
         );
         drop(journal);
-        let loaded = SweepJournal::load(&path);
+        let loaded = Journal::load(&path, "sweep", entry_from_json);
         let (got, degradation, duration) = loaded
             .get(&cell_fingerprint(&p, spec))
             .expect("entry present");
@@ -1331,19 +1458,17 @@ mod tests {
         let p = point(Benchmark::Li);
         let result = run_one(&p.workload, p.depth, p.config, spec);
         let path = dir.join("sweep.journal");
-        let journal = SweepJournal::open_append(&path, spec).unwrap();
+        let journal = Journal::open_append(&path, "sweep", spec).unwrap();
         journal.append(
             cell_fingerprint(&p, spec),
-            &result,
-            Degradation::None,
-            Duration::ZERO,
+            &entry_json(&result, Degradation::None, Duration::ZERO),
         );
         drop(journal);
         // Simulate a crash mid-append: a torn, incomplete final line.
         let mut text = std::fs::read_to_string(&path).unwrap();
         text.push_str("deadbeefdeadbeef {\"name\":\"go\",\"config\":1,\"de");
         std::fs::write(&path, text).unwrap();
-        let loaded = SweepJournal::load(&path);
+        let loaded = Journal::load(&path, "sweep", entry_from_json);
         assert_eq!(loaded.len(), 1, "good line kept, torn line dropped");
         assert!(loaded.contains_key(&cell_fingerprint(&p, spec)));
         std::fs::remove_dir_all(&dir).ok();
@@ -1432,19 +1557,17 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("arvi-olddur-test-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let path = dir.join("sweep.journal");
-        let journal = SweepJournal::open_append(&path, spec).unwrap();
+        let journal = Journal::open_append(&path, "sweep", spec).unwrap();
         journal.append(
             cell_fingerprint(&p, spec),
-            &result,
-            Degradation::None,
-            Duration::from_millis(5),
+            &entry_json(&result, Degradation::None, Duration::from_millis(5)),
         );
         drop(journal);
         let text = std::fs::read_to_string(&path)
             .unwrap()
             .replace("\"dur_us\":5000,", "");
         std::fs::write(&path, text).unwrap();
-        let loaded = SweepJournal::load(&path);
+        let loaded = Journal::load(&path, "sweep", entry_from_json);
         let (_, _, duration) = loaded
             .get(&cell_fingerprint(&p, spec))
             .expect("entry still loads");

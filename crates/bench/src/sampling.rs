@@ -3,23 +3,22 @@
 //!
 //! A sampled sweep replaces each cell's full detailed run with a
 //! [`SamplePlan`] over the cell's recorded trace: `k`-periodic units of
-//! functional warm-up + detailed measurement (see `arvi_sampling`). The
-//! work list is the *flattened* `(cell, unit)` grid, fanned out over one
-//! atomic-cursor worker pool — so even a single long-window cell
-//! saturates every core, which is the point: intra-run parallelism that
-//! the serial full run cannot have.
+//! functional warm-up + detailed measurement (see `arvi_sampling`). It is
+//! one more kind of job on the one grid runner
+//! ([`crate::resilience::run_grid`]): the job list is the *flattened*
+//! `(cell, unit)` grid, so even a single long-window cell saturates
+//! every core — intra-run parallelism the serial full run cannot have.
 //!
-//! Sampled sweeps compose with the whole resilience stack:
+//! Sampled sweeps therefore compose with the whole resilience stack:
 //!
 //! * every finished unit is journaled individually (keyed by
 //!   [`unit_fingerprint`]), so a killed run resumes per *unit*, not per
 //!   cell;
-//! * unit panics and trace errors are isolated per cell, like
-//!   [`run_sweep_resilient`](crate::resilience::run_sweep_resilient);
+//! * unit panics and trace errors are isolated per cell;
 //! * a cell whose workload has no usable recording cannot be sampled
-//!   (sampling seeks; live emulation cannot) and falls back to a full
-//!   live run, reported as [`Degradation::LiveEmulation`] with
-//!   `sampled_units == 0`.
+//!   (sampling seeks; live emulation cannot) and runs as a whole-cell
+//!   job, falling back to a full live run reported as
+//!   [`Degradation::LiveEmulation`] with `sampled_units == 0`.
 //!
 //! Determinism: unit results are committed in flattened-grid order and
 //! merged with integer-exact counter sums, so a sampled sweep's results
@@ -27,37 +26,29 @@
 //! across kill + `--resume`.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use arvi_sampling::{aggregate, run_unit, SamplePlan, SampleReport, SampleUnit};
-use arvi_sim::{intern_name, SimParams, SimResult};
+use arvi_sim::{intern_name, MachineStats, SimParams, SimResult};
 use arvi_stats::Table;
-use arvi_trace::REPLAY_PANIC_PREFIX;
+use arvi_trace::{Trace, REPLAY_PANIC_PREFIX};
 
 use crate::harness::Spec;
 use crate::resilience::{
-    cell_fingerprint, panic_message, CellOutcome, CellSuccess, Degradation, Resilience,
-    SweepJournal,
+    cell_fingerprint, entry_json, panic_message, run_grid, CellOutcome, CellSuccess, Degradation,
+    Journal, JournalEntry, Resilience,
 };
-use crate::sweep::{trace_len, SweepPoint, TraceProvenance, TraceSet};
+use crate::sweep::{SweepPoint, TraceSet};
 use crate::workload::fnv1a;
 
 /// Parses a `--sample PLAN` argument pair out of `args`
 /// (`k:warmup:detail` or `stratified:k:warmup:detail`; see
 /// [`SamplePlan::parse`]). `Ok(None)` when the flag is absent.
 pub fn sample_plan_from_args(args: &[String]) -> Result<Option<SamplePlan>, String> {
-    match args.iter().position(|a| a == "--sample") {
-        None => Ok(None),
-        Some(i) => {
-            let v = args
-                .get(i + 1)
-                .filter(|v| !v.starts_with('-'))
-                .ok_or("--sample needs a plan (k:warmup:detail)")?;
-            SamplePlan::parse(v).map(Some)
-        }
-    }
+    crate::flag_value(args, "--sample")?
+        .map(|v| SamplePlan::parse(v))
+        .transpose()
 }
 
 /// A completed sampled sweep: one [`CellOutcome`] per grid point (as the
@@ -84,24 +75,13 @@ pub fn unit_fingerprint(point: &SweepPoint, spec: Spec, plan: &SamplePlan, unit:
     h
 }
 
-/// What a cell runs under a sampled sweep.
-enum CellMode {
-    /// The cell samples `plan`'s units over its recording.
-    Sampled { degradation: Degradation },
-    /// No usable recording: the cell runs full-length live emulation
-    /// (sampling needs a seekable trace), or fails when
-    /// [`Resilience::live_fallback`] is off.
-    Fallback,
-}
-
-/// One finished work item.
-enum Done {
-    Unit {
-        stats: arvi_sim::MachineStats,
+/// One finished sampling unit.
+pub(crate) enum UnitDone {
+    Ok {
+        stats: MachineStats,
         duration: Duration,
         resumed: bool,
     },
-    Whole(CellOutcome),
     Failed {
         message: String,
         trace_error: bool,
@@ -109,7 +89,7 @@ enum Done {
 }
 
 /// Runs `plan` over every grid point, fanning the flattened
-/// `(cell, unit)` work list out over `threads` workers. See the module
+/// `(cell, unit)` job list out over `threads` workers. See the module
 /// docs for the resilience and determinism contract.
 pub fn run_sweep_sampled(
     points: &[SweepPoint],
@@ -120,149 +100,36 @@ pub fn run_sweep_sampled(
     traces: &TraceSet,
     res: Option<&Resilience>,
 ) -> SampledSweep {
-    let default_res = Resilience::new();
-    let res = res.unwrap_or(&default_res);
-    // Detail windows live inside the measurement window; unit warm-up
-    // may reach back into the spec warm-up prefix (recorded too).
-    let units = plan.units(spec.warmup, spec.measure, spec.seed);
-    let prior = match (&res.journal, res.resume) {
-        (Some(path), true) => SweepJournal::load(path),
-        _ => HashMap::new(),
-    };
-    let journal = res.journal.as_ref().and_then(|path| {
-        SweepJournal::open_append(path, spec)
-            .map_err(|e| {
-                eprintln!(
-                    "warning: cannot open sweep journal {}: {e} (continuing without)",
-                    path.display()
-                )
-            })
-            .ok()
-    });
-
-    let modes: Vec<CellMode> = points
-        .iter()
-        .map(|point| match traces.get(&point.workload) {
-            Some(trace) if trace.len() >= trace_len(spec) => CellMode::Sampled {
-                degradation: match traces.provenance(&point.workload) {
-                    Some(TraceProvenance::Rerecorded { corrupt: true }) => {
-                        Degradation::Requarantined
-                    }
-                    _ => Degradation::None,
-                },
-            },
-            _ => CellMode::Fallback,
-        })
-        .collect();
-
-    // The flattened work list: every unit of every sampled cell is its
-    // own schedulable item; fallback cells are one whole-run item.
-    let mut items: Vec<(usize, Option<usize>)> = Vec::new();
-    for (i, mode) in modes.iter().enumerate() {
-        match mode {
-            CellMode::Sampled { .. } => items.extend((0..units.len()).map(|j| (i, Some(j)))),
-            CellMode::Fallback => items.push((i, None)),
-        }
-    }
-    if progress {
-        eprintln!(
-            "sampled sweep: {} cells x {} units (plan {plan}), {} work items on {} threads",
-            points.len(),
-            units.len(),
-            items.len(),
-            threads.clamp(1, items.len().max(1)),
-        );
-    }
-
-    let cursor = AtomicUsize::new(0);
-    let completed = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Done>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    let worker = || loop {
-        if res
-            .plan
-            .as_deref()
-            .is_some_and(|p| p.kill_now(completed.load(Ordering::Acquire)))
-        {
-            break;
-        }
-        let idx = cursor.fetch_add(1, Ordering::Relaxed);
-        let Some(&(cell, unit)) = items.get(idx) else {
-            break;
-        };
-        let point = &points[cell];
-        let done = match unit {
-            Some(j) => run_unit_item(point, spec, plan, &units[j], j, traces, &prior, &journal),
-            None => Done::Whole(run_fallback_cell(point, spec, res, &prior, &journal)),
-        };
-        *slots[idx].lock().expect("sampled item slot") = Some(done);
-        completed.fetch_add(1, Ordering::Release);
-    };
-    let threads = threads.clamp(1, items.len().max(1));
-    if threads == 1 {
-        worker();
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(worker);
-            }
-        });
-    }
-    let mut done: Vec<Option<Done>> = slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("sampled item slot"))
-        .collect();
-
-    // Assemble per cell, consuming the flattened slots in order (the
-    // items vector groups each cell's units contiguously).
-    let mut outcomes = Vec::with_capacity(points.len());
-    let mut reports = Vec::with_capacity(points.len());
-    let mut next = 0usize;
-    for (i, (point, mode)) in points.iter().zip(&modes).enumerate() {
-        match mode {
-            CellMode::Fallback => {
-                let slot = done[next].take();
-                next += 1;
-                outcomes.push(match slot {
-                    Some(Done::Whole(outcome)) => outcome,
-                    _ => CellOutcome::Skipped,
-                });
-                reports.push(None);
-            }
-            CellMode::Sampled { degradation } => {
-                let cell_slots = &mut done[next..next + units.len()];
-                next += units.len();
-                let (outcome, report) = assemble_cell(point, spec, i, cell_slots, *degradation);
-                outcomes.push(outcome);
-                reports.push(report);
-            }
-        }
-    }
-    SampledSweep { outcomes, reports }
+    let default = Resilience::default();
+    let res = res.unwrap_or(&default);
+    run_grid(
+        points,
+        spec,
+        Some(plan),
+        threads,
+        progress,
+        Some(traces),
+        res,
+    )
 }
 
-/// Runs (or restores) one sampling unit and journals a fresh result.
-#[allow(clippy::too_many_arguments)]
-fn run_unit_item(
+/// Runs (or restores) one sampling unit of `point`, keyed `fp` in the
+/// journal, and journals a fresh result.
+pub(crate) fn run_unit_job(
     point: &SweepPoint,
-    spec: Spec,
-    plan: &SamplePlan,
+    fp: u64,
+    trace: &Arc<Trace>,
     unit: &SampleUnit,
-    unit_index: usize,
-    traces: &TraceSet,
-    prior: &HashMap<u64, (SimResult, Degradation, Duration)>,
-    journal: &Option<SweepJournal>,
-) -> Done {
-    let fp = unit_fingerprint(point, spec, plan, unit_index as u64);
+    prior: &HashMap<u64, JournalEntry>,
+    journal: Option<&Journal>,
+) -> UnitDone {
     if let Some((result, _, duration)) = prior.get(&fp) {
-        return Done::Unit {
+        return UnitDone::Ok {
             stats: result.window.clone(),
             duration: *duration,
             resumed: true,
         };
     }
-    let trace = traces
-        .get(&point.workload)
-        .expect("sampled cells have a recording");
     let params = SimParams::for_depth(point.depth);
     let start = Instant::now();
     let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -280,22 +147,22 @@ fn run_unit_item(
                     depth_stages: point.depth.stages(),
                     window: stats.clone(),
                 };
-                journal.append(fp, &entry, Degradation::None, duration);
+                journal.append(fp, &entry_json(&entry, Degradation::None, duration));
             }
-            Done::Unit {
+            UnitDone::Ok {
                 stats,
                 duration,
                 resumed: false,
             }
         }
-        Ok(Err(e)) => Done::Failed {
+        Ok(Err(e)) => UnitDone::Failed {
             message: e.to_string(),
             trace_error: true,
         },
         Err(payload) => {
             let message = panic_message(payload.as_ref());
             let trace_error = message.contains(REPLAY_PANIC_PREFIX);
-            Done::Failed {
+            UnitDone::Failed {
                 message,
                 trace_error,
             }
@@ -303,74 +170,22 @@ fn run_unit_item(
     }
 }
 
-/// Full live run for a cell that cannot be sampled (no usable trace).
-fn run_fallback_cell(
-    point: &SweepPoint,
-    spec: Spec,
-    res: &Resilience,
-    prior: &HashMap<u64, (SimResult, Degradation, Duration)>,
-    journal: &Option<SweepJournal>,
-) -> CellOutcome {
-    // Full-run results are plan-independent, so the plain cell
-    // fingerprint keys them — a resumed full sweep's entries count.
-    let fp = cell_fingerprint(point, spec);
-    if let Some((result, degradation, duration)) = prior.get(&fp) {
-        return CellOutcome::Ok(CellSuccess {
-            result: result.clone(),
-            degradation: *degradation,
-            resumed: true,
-            duration: *duration,
-            sampled_units: 0,
-        });
-    }
-    if !res.live_fallback {
-        return CellOutcome::TraceError {
-            message: format!(
-                "no usable recording for workload {} — sampling requires a seekable trace \
-                 and live fallback is disabled",
-                point.workload
-            ),
-        };
-    }
-    let start = Instant::now();
-    let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        crate::harness::run_one(&point.workload, point.depth, point.config, spec)
-    }));
-    let duration = start.elapsed();
-    match attempt {
-        Ok(result) => {
-            if let Some(journal) = journal {
-                journal.append(fp, &result, Degradation::LiveEmulation, duration);
-            }
-            CellOutcome::Ok(CellSuccess {
-                result,
-                degradation: Degradation::LiveEmulation,
-                resumed: false,
-                duration,
-                sampled_units: 0,
-            })
-        }
-        Err(payload) => CellOutcome::Panicked {
-            message: panic_message(payload.as_ref()),
-        },
-    }
-}
-
-/// Folds one sampled cell's unit slots into its outcome and report.
-fn assemble_cell(
+/// Folds one sampled cell's unit slots (in unit order; `None` for a
+/// unit that was never dispatched) into its outcome and report.
+pub(crate) fn assemble_cell(
     point: &SweepPoint,
     spec: Spec,
     cell: usize,
-    slots: &mut [Option<Done>],
+    slots: Vec<Option<UnitDone>>,
     degradation: Degradation,
 ) -> (CellOutcome, Option<SampleReport>) {
     let mut stats = Vec::with_capacity(slots.len());
     let mut duration = Duration::ZERO;
     let mut all_resumed = true;
     let mut missing = false;
-    for slot in slots.iter_mut() {
-        match slot.take() {
-            Some(Done::Unit {
+    for slot in slots {
+        match slot {
+            Some(UnitDone::Ok {
                 stats: s,
                 duration: d,
                 resumed,
@@ -379,7 +194,7 @@ fn assemble_cell(
                 duration += d;
                 all_resumed &= resumed;
             }
-            Some(Done::Failed {
+            Some(UnitDone::Failed {
                 message,
                 trace_error,
             }) => {
@@ -391,7 +206,6 @@ fn assemble_cell(
                 };
                 return (outcome, None);
             }
-            Some(Done::Whole(_)) => unreachable!("sampled cells have no whole-run items"),
             None => missing = true,
         }
     }
@@ -572,12 +386,29 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         let journal = dir.join("sweep.journal");
 
-        // First run: killed after 2 units.
-        let res = Resilience::new()
+        // First run: killed after 2 of the cell's 4 units.
+        let events = dir.join("events.jsonl");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut res = Resilience::new()
             .with_journal(&journal)
             .with_plan(crate::resilience::FaultPlan::parse("kill-after 2").unwrap());
+        res.telemetry = Some(std::sync::Arc::new(
+            crate::events::SweepTelemetry::from_paths(Some(&events), None).unwrap(),
+        ));
         let partial = run_sweep_sampled(&points, spec, &plan, 1, false, &traces, Some(&res));
         assert!(matches!(partial.outcomes[0], CellOutcome::Skipped));
+        // The cell that started still closes: one cell_start, one
+        // skipped cell_end.
+        let log = std::fs::read_to_string(&events).unwrap();
+        let lines = |name: &str| {
+            log.lines()
+                .filter(|l| l.contains(&format!("\"event\":\"{name}\"")))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(lines("cell_start").len(), 1, "{log}");
+        let ends = lines("cell_end");
+        assert_eq!(ends.len(), 1, "{log}");
+        assert!(ends[0].contains("\"outcome\":\"skipped\""), "{log}");
 
         // Resumed run completes and matches an uninterrupted run.
         let res = Resilience::new().with_journal(&journal).resuming();

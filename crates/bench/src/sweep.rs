@@ -2,10 +2,13 @@
 //!
 //! The Figure-5/6 grids are embarrassingly parallel: every
 //! `(benchmark, depth, configuration)` cell is an independent,
-//! deterministic simulation. [`par_map`] fans a work list out over scoped
-//! `std::thread` workers with a shared atomic cursor, and returns results
-//! in *item order* regardless of which worker finished first — so a
-//! parallel sweep is bit-identical to the sequential one, just faster.
+//! deterministic simulation. Every sweep here is a thin job-list adapter
+//! over the fault-isolated grid runner
+//! ([`crate::resilience::run_sweep_resilient`]), which fans cells out on
+//! the workspace's one worker pool ([`arvi_sim::execute`]) and returns
+//! results in *item order* regardless of which worker finished first —
+//! so a parallel sweep is bit-identical to the sequential one, just
+//! faster. [`par_map`] is the same pool for plain closures.
 //!
 //! Since PR 2 the grids are also **record-once / replay-many**: each
 //! distinct `(benchmark, seed, window)` workload is functionally
@@ -17,19 +20,18 @@
 //! pre-recorded traces from disk (`--trace-dir`).
 
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use arvi_isa::Emulator;
-use arvi_sim::{Depth, PredictorConfig, SimResult};
+use arvi_sim::{execute, Depth, PredictorConfig, SimResult};
 use arvi_trace::{StdIo, Trace, TraceIo, TraceReplayer};
 use arvi_workloads::WorkloadSource;
 
 use crate::events::SweepTelemetry;
-use crate::harness::{run_one, run_one_traced, Spec};
+use crate::harness::Spec;
 use crate::report::Json;
-use crate::resilience::Resilience;
+use crate::resilience::{collect_results, run_sweep_resilient, Resilience};
 use crate::workload::Workload;
 
 /// Instructions recorded beyond `warmup + measure`: the machine fetches
@@ -378,9 +380,10 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Applies `f` to every item on up to `threads` scoped workers and
-/// returns the results in item order (deterministic regardless of
-/// scheduling). `threads <= 1` degenerates to a plain sequential map.
+/// Applies `f` to every item on up to `threads` workers of
+/// [`arvi_sim::execute`] and returns the results in item order
+/// (deterministic regardless of scheduling). `threads <= 1` degenerates
+/// to a plain sequential map.
 ///
 /// # Panics
 ///
@@ -395,8 +398,14 @@ where
 {
     let mut out = Vec::with_capacity(items.len());
     let mut first_panic = None;
-    for result in par_map_caught(items, threads, &f) {
-        match result {
+    let caught = execute(
+        items,
+        threads,
+        |_| false,
+        |_, item| std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(item))),
+    );
+    for slot in caught {
+        match slot.expect("no stop condition, so every item ran") {
             Ok(v) => out.push(v),
             Err(payload) => {
                 first_panic.get_or_insert(payload);
@@ -407,50 +416,6 @@ where
         std::panic::resume_unwind(payload);
     }
     out
-}
-
-/// [`par_map`] with each item's `f` call run under `catch_unwind`:
-/// `results[i]` is `Err(payload)` when `f(items[i])` panicked. The
-/// isolation primitive under both [`par_map`] and the resilient sweep —
-/// one panicking item never prevents the others from completing.
-pub fn par_map_caught<T, U, F>(
-    items: &[T],
-    threads: usize,
-    f: &F,
-) -> Vec<Result<U, Box<dyn std::any::Any + Send>>>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    let run = |item: &T| std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(item)));
-    let threads = threads.clamp(1, items.len().max(1));
-    if threads == 1 {
-        return items.iter().map(run).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    type Slot<U> = Mutex<Option<Result<U, Box<dyn std::any::Any + Send>>>>;
-    let slots: Vec<Slot<U>> = items.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                let out = run(item);
-                // `run` cannot unwind (catch_unwind), so the lock is
-                // never poisoned.
-                *slots[i].lock().expect("result slot") = Some(out);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .expect("result slot")
-                .expect("worker filled every slot")
-        })
-        .collect()
 }
 
 /// One cell of an experiment grid.
@@ -514,8 +479,13 @@ pub fn run_sweep(
     run_sweep_with(points, spec, threads, progress, &traces)
 }
 
-/// [`run_sweep`] over pre-recorded traces. A point whose workload is
-/// missing from `traces` falls back to live emulation for that cell.
+/// [`run_sweep`] over pre-recorded traces: the fault-isolated runner
+/// under [`Resilience::default`]. A point whose workload is missing from
+/// `traces` falls back to live emulation for that cell.
+///
+/// # Panics
+///
+/// If any cell fails, naming every failed cell.
 pub fn run_sweep_with(
     points: &[SweepPoint],
     spec: Spec,
@@ -523,32 +493,33 @@ pub fn run_sweep_with(
     progress: bool,
     traces: &TraceSet,
 ) -> Vec<SimResult> {
-    par_map(points, threads, |p| {
-        if progress {
-            eprintln!("sweep: {p}");
-        }
-        match traces.get(&p.workload) {
-            Some(trace) => run_one_traced(trace, p.depth, p.config, spec),
-            None => run_one(&p.workload, p.depth, p.config, spec),
-        }
-    })
+    let res = Resilience::default();
+    let outcomes = run_sweep_resilient(points, spec, threads, progress, Some(traces), &res);
+    collect_results(points, outcomes).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// The pre-PR2 sweep: every cell re-runs the functional emulation
 /// itself. Kept as the baseline `perf_report` measures trace sharing
 /// against, and as the reference side of the bit-identity tests.
+///
+/// # Panics
+///
+/// If any cell fails, naming every failed cell.
 pub fn run_sweep_emulated(
     points: &[SweepPoint],
     spec: Spec,
     threads: usize,
     progress: bool,
 ) -> Vec<SimResult> {
-    par_map(points, threads, |p| {
-        if progress {
-            eprintln!("sweep: {p}");
-        }
-        run_one(&p.workload, p.depth, p.config, spec)
-    })
+    let outcomes = run_sweep_resilient(
+        points,
+        spec,
+        threads,
+        progress,
+        None,
+        &Resilience::default(),
+    );
+    collect_results(points, outcomes).unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[cfg(test)]
@@ -559,8 +530,14 @@ mod tests {
     #[test]
     fn par_map_preserves_item_order() {
         let items: Vec<u64> = (0..64).collect();
-        let got = par_map(&items, 8, |&x| x * 3);
-        assert_eq!(got, items.iter().map(|x| x * 3).collect::<Vec<_>>());
+        let expected: Vec<u64> = items.iter().map(|x| x * 3).collect();
+        for threads in [1, 2, 8] {
+            assert_eq!(
+                par_map(&items, threads, |&x| x * 3),
+                expected,
+                "{threads} threads"
+            );
+        }
     }
 
     #[test]
@@ -581,33 +558,68 @@ mod tests {
     #[test]
     fn par_map_propagates_the_original_panic_payload() {
         let items: Vec<u32> = (0..16).collect();
-        let caught = std::panic::catch_unwind(|| {
+        let ran = std::sync::atomic::AtomicUsize::new(0);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             par_map(&items, 4, |&x| {
+                ran.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 if x == 5 {
                     panic!("item {x} exploded");
                 }
                 x
             })
-        })
+        }))
         .expect_err("must propagate the panic");
         let message = crate::resilience::panic_message(caught.as_ref());
         assert_eq!(message, "item 5 exploded");
+        // The panicking item did not stop the others.
+        assert_eq!(ran.into_inner(), items.len());
     }
 
     #[test]
-    fn par_map_caught_isolates_failures_per_item() {
+    fn par_map_executor_isolates_a_panicking_item_per_slot() {
         let items: Vec<u32> = (0..8).collect();
-        let results = par_map_caught(&items, 3, &|&x: &u32| {
-            if x % 3 == 0 {
-                panic!("bad {x}");
+        for threads in [1, 3] {
+            let slots = execute(
+                &items,
+                threads,
+                |_| false,
+                |_, &x| {
+                    std::panic::catch_unwind(|| {
+                        if x % 3 == 0 {
+                            panic!("bad {x}");
+                        }
+                        x * 2
+                    })
+                },
+            );
+            for (i, slot) in slots.into_iter().enumerate() {
+                let r = slot.expect("every item dispatched");
+                if i % 3 == 0 {
+                    assert!(r.is_err(), "item {i}");
+                } else {
+                    assert_eq!(r.unwrap(), i as u32 * 2);
+                }
             }
-            x * 2
-        });
-        for (i, r) in results.iter().enumerate() {
-            if i % 3 == 0 {
-                assert!(r.is_err(), "item {i}");
-            } else {
-                assert_eq!(*r.as_ref().unwrap(), i as u32 * 2);
+        }
+    }
+
+    #[test]
+    fn par_map_executor_stop_leaves_exactly_the_undispatched_slots_empty() {
+        let items: Vec<u32> = (0..10).collect();
+        let slots = execute(&items, 1, |done| done >= 4, |i, &x| (i, x * 2));
+        let expected: Vec<Option<(usize, u32)>> = (0..10)
+            .map(|i| (i < 4).then_some((i as usize, i * 2)))
+            .collect();
+        assert_eq!(slots, expected);
+        // With workers racing, at least N complete, dispatch is still a
+        // prefix, and every filled slot holds its own item's result.
+        let slots = execute(&items, 4, |done| done >= 4, |i, &x| (i, x * 2));
+        let filled = slots.iter().flatten().count();
+        assert!(filled >= 4);
+        assert!(slots[..filled].iter().all(Option::is_some));
+        for (i, slot) in slots.iter().enumerate() {
+            if let Some(v) = slot {
+                assert_eq!(*v, (i, items[i] * 2));
             }
         }
     }

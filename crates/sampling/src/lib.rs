@@ -12,9 +12,9 @@
 //!
 //! Because every unit is independent — it seeks straight to its trace
 //! position via [`TraceReplayer::seek_to_inst`] and carries its own
-//! machine — units fan out over a deterministic worker pool
-//! ([`run_units`]), so one long window saturates all cores where the
-//! full run is serial by construction.
+//! machine — units fan out over the workspace's deterministic worker
+//! pool ([`run_units`] on [`arvi_sim::execute`]), so one long window
+//! saturates all cores where the full run is serial by construction.
 //!
 //! Determinism contract: for a fixed trace, plan and seed, the unit
 //! list, every per-unit [`MachineStats`], and the aggregated
@@ -22,10 +22,9 @@
 //! results are committed in unit order, and the point estimates are
 //! ratios of summed integer counters (see [`arvi_stats::sample`]).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use arvi_sim::{MachineStats, PredictorConfig, RebasedSource, SimParams, WarmupMachine};
+use arvi_sim::{execute, MachineStats, PredictorConfig, RebasedSource, SimParams, WarmupMachine};
 use arvi_stats::SampleEstimate;
 use arvi_trace::{Trace, TraceError, TraceReplayer};
 
@@ -264,10 +263,9 @@ pub fn run_unit(
 }
 
 /// Runs every unit of a plan over a shared trace, fanning out across
-/// `threads` workers. Results are returned **in unit order** and are
-/// bit-identical for any thread count: workers pull units from an
-/// atomic cursor and write into per-unit slots, so scheduling affects
-/// only wall-clock, never results.
+/// `threads` workers on [`arvi_sim::execute`]. Results are returned **in
+/// unit order** and are bit-identical for any thread count: scheduling
+/// affects only wall-clock, never results.
 pub fn run_units(
     trace: &Arc<Trace>,
     params: &SimParams,
@@ -275,32 +273,15 @@ pub fn run_units(
     units: &[SampleUnit],
     threads: usize,
 ) -> Result<Vec<MachineStats>, TraceError> {
-    let threads = threads.clamp(1, units.len().max(1));
-    if threads == 1 {
-        return units
-            .iter()
-            .map(|u| run_unit(trace, params, config, u))
-            .collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<MachineStats, TraceError>>>> =
-        units.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= units.len() {
-                    break;
-                }
-                let r = run_unit(trace, params, config, &units[i]);
-                *slots[i].lock().unwrap() = Some(r);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().unwrap().expect("every slot filled"))
-        .collect()
+    execute(
+        units,
+        threads,
+        |_| false,
+        |_, u| run_unit(trace, params, config, u),
+    )
+    .into_iter()
+    .map(|slot| slot.expect("no stop condition, so every unit ran"))
+    .collect()
 }
 
 /// Sums two per-unit counter blocks field by field. Plain integer

@@ -23,6 +23,8 @@
 //!   override re-steer penalties.
 //! * [`run`] — warmup + measurement-window harness producing
 //!   [`SimResult`]s.
+//! * [`exec`] — the deterministic worker pool ([`execute`]) that every
+//!   parallel job list (grid cells, sampling units) runs on.
 //!
 //! ```no_run
 //! use arvi_sim::{simulate, SimParams, Depth, PredictorConfig};
@@ -40,6 +42,7 @@
 
 pub mod branch_unit;
 pub mod cache;
+pub mod exec;
 pub mod hierarchy;
 pub mod machine;
 pub mod oracle;
@@ -53,6 +56,7 @@ pub mod wheel;
 
 pub use branch_unit::{BranchDecision, BranchUnit, Level2};
 pub use cache::Cache;
+pub use exec::execute;
 pub use hierarchy::Hierarchy;
 pub use machine::{Machine, MachineStats, PcProfile};
 pub use oracle::{LoadBackOracle, PerfectOracle, ReadyOracle};
