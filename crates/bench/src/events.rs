@@ -58,16 +58,13 @@ impl EventLog {
 
     /// Appends one event line. Write failures warn rather than fail —
     /// losing telemetry must never lose sweep results.
-    pub fn emit(&self, event: &str, fields: Vec<(String, Json)>) {
+    pub fn emit(&self, event: &str, fields: Vec<(&'static str, Json)>) {
         let mut obj = vec![
-            (
-                "t_us".to_string(),
-                Json::Num(self.start.elapsed().as_micros() as f64),
-            ),
-            ("event".to_string(), Json::str(event)),
+            ("t_us", Json::Num(self.start.elapsed().as_micros() as f64)),
+            ("event", Json::str(event)),
         ];
         obj.extend(fields);
-        let line = Json::Obj(obj).render_compact();
+        let line = Json::obj(obj).render_compact();
         let mut f = self.file.lock().unwrap();
         if let Err(e) = writeln!(f, "{line}").and_then(|()| f.flush()) {
             eprintln!(
@@ -131,7 +128,7 @@ impl SweepTelemetry {
     }
 
     /// Emits an event (no-op without an event log).
-    pub fn event(&self, name: &str, fields: Vec<(String, Json)>) {
+    pub fn event(&self, name: &str, fields: Vec<(&'static str, Json)>) {
         if let Some(log) = &self.events {
             log.emit(name, fields);
         }
@@ -167,9 +164,9 @@ impl SweepTelemetry {
         self.event(
             "quarantine",
             vec![
-                ("file".to_string(), Json::str(file)),
-                ("error".to_string(), Json::str(error)),
-                ("action".to_string(), Json::str(action)),
+                ("file", Json::str(file)),
+                ("error", Json::str(error)),
+                ("action", Json::str(action)),
             ],
         );
     }
@@ -180,8 +177,8 @@ impl SweepTelemetry {
         self.event(
             "record_end",
             vec![
-                ("workloads".to_string(), Json::Num(workloads as f64)),
-                ("dur_us".to_string(), Json::Num(elapsed.as_micros() as f64)),
+                ("workloads", Json::Num(workloads as f64)),
+                ("dur_us", Json::Num(elapsed.as_micros() as f64)),
             ],
         );
     }
@@ -258,8 +255,8 @@ mod tests {
         let dir = tmpdir("lines");
         let path = dir.join("nested/events.jsonl");
         let log = EventLog::create(&path).expect("create makes parents");
-        log.emit("sweep_start", vec![("cells".to_string(), Json::Num(4.0))]);
-        log.emit("cell_end", vec![("outcome".to_string(), Json::str("ok"))]);
+        log.emit("sweep_start", vec![("cells", Json::Num(4.0))]);
+        log.emit("cell_end", vec![("outcome", Json::str("ok"))]);
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);

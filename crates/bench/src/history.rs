@@ -14,7 +14,8 @@
 //! the point being judged does not widen its own band).
 //!
 //! Files are ordered by the PR number in the *filename*, not the `pr`
-//! field inside — at least one checked-in report carries a stale field.
+//! field inside — at least one checked-in report carries a stale field,
+//! and loading warns on stderr about every such mislabeled file.
 
 use std::path::Path;
 
@@ -68,8 +69,9 @@ pub struct HistoryReport {
 /// Loads every `BENCH_PR<N>.json` under `dir`, ordered by the filename
 /// PR number. Non-matching files (`BENCH_BASELINE.json`, sources) are
 /// ignored; a matching file that does not parse is an error naming the
-/// file. An empty history is fine (the caller decides whether that's
-/// an error).
+/// file, and one whose `"pr"` field disagrees with its filename is kept
+/// with a stderr warning (`mislabel_warning`). An empty history is
+/// fine (the caller decides whether that's an error).
 pub fn load_bench_history(dir: &Path) -> Result<Vec<BenchFile>, String> {
     let entries =
         std::fs::read_dir(dir).map_err(|e| format!("cannot read {}", io_error_at(dir, e)))?;
@@ -89,6 +91,9 @@ pub fn load_bench_history(dir: &Path) -> Result<Vec<BenchFile>, String> {
             std::fs::read_to_string(&path).map_err(|e| format!("{}", io_error_at(&path, e)))?;
         let json =
             Json::parse(&text).map_err(|e| format!("{}: malformed JSON: {e}", path.display()))?;
+        if let Some(warning) = mislabel_warning(&name, pr, &json) {
+            eprintln!("{warning}");
+        }
         files.push(BenchFile {
             pr,
             file: name,
@@ -97,6 +102,16 @@ pub fn load_bench_history(dir: &Path) -> Result<Vec<BenchFile>, String> {
     }
     files.sort_by_key(|f| f.pr);
     Ok(files)
+}
+
+/// The warning for a report whose `"pr"` field disagrees with the PR
+/// number `pr` in its filename `file`; `None` when they agree or the
+/// field is absent.
+fn mislabel_warning(file: &str, pr: u64, json: &Json) -> Option<String> {
+    let field = json.num("pr").filter(|&n| n != pr as f64)?;
+    Some(format!(
+        "warning: {file} says \"pr\": {field} but its filename says PR {pr}; ordering by the filename"
+    ))
 }
 
 fn direction_of(key: &str, baseline: Option<&Json>) -> bool {
@@ -441,6 +456,23 @@ mod tests {
         assert_eq!(files[0].pr, 9);
         assert_eq!(files[1].pr, 10);
         assert_eq!(files[1].file, "BENCH_PR10.json");
+    }
+
+    #[test]
+    fn mislabeled_reports_are_flagged() {
+        let json = |text: &str| Json::parse(text).unwrap();
+        assert_eq!(
+            mislabel_warning("BENCH_PR6.json", 6, &json(r#"{"pr":5}"#)).as_deref(),
+            Some(
+                "warning: BENCH_PR6.json says \"pr\": 5 but its filename says PR 6; \
+                 ordering by the filename"
+            )
+        );
+        assert_eq!(
+            mislabel_warning("BENCH_PR9.json", 9, &json(r#"{"pr":9}"#)),
+            None
+        );
+        assert_eq!(mislabel_warning("BENCH_PR9.json", 9, &json("{}")), None);
     }
 
     #[test]

@@ -80,6 +80,7 @@ pub mod sampling;
 pub mod sweep;
 pub mod workload;
 
+pub use arvi_obs::codec::{counters_from_json, counters_to_json, sites_from_json, sites_to_json};
 pub use branch_stream::{conditional_branches, run_delayed, run_delayed_scalar, StreamRun};
 pub use events::{EventLog, SweepTelemetry};
 pub use guard::{evaluate_guardrail, trend_flags, GuardOutcome, MetricRow, MetricStatus};
@@ -87,9 +88,8 @@ pub use harness::{fig5_tables, paper_tables, run_one, run_one_traced, Fig6Data, 
 pub use history::{bench_history, load_bench_history, BenchFile, HistoryReport, MetricTrend};
 pub use obs::{maybe_obs_pass, obs_from_args, run_obs_pass, ObsConfig, ObsReport, WorkloadObs};
 pub use obs_grid::{
-    attribution_diff, counters_from_json, counters_to_json, maybe_obs_grid, obs_grid_json,
-    run_obs_grid, sites_from_json, sites_to_json, Attribution, ObsGrid, ObsGroup, SiteDelta,
-    WorkloadAttribution,
+    attribution_diff, maybe_obs_grid, obs_grid_json, run_obs_grid, Attribution, ObsGrid, ObsGroup,
+    SiteDelta, WorkloadAttribution,
 };
 pub use report::{write_report, write_text, Json};
 pub use resilience::{

@@ -12,13 +12,14 @@
 
 use std::path::PathBuf;
 
-use arvi_obs::{ChromeTracer, CounterProbe, SiteProbe};
+use arvi_obs::codec::{counters_summary_json, top_sites_json};
+use arvi_obs::{ChromeTracer, CounterProbe, Probe, SiteProbe};
 use arvi_sim::{intern_name, simulate_source_probed, Depth, PredictorConfig, SimParams, SimResult};
 use arvi_workloads::WorkloadSource;
 
 use crate::harness::Spec;
 use crate::report::{write_text, Json};
-use crate::sweep::TraceSet;
+use crate::sweep::{trace_len, TraceSet};
 use crate::workload::Workload;
 
 /// Which probes an observability pass runs and where output goes.
@@ -195,29 +196,8 @@ pub fn run_obs_pass(
         };
         tracer.pid = wi as u32 + 1;
         let probe = ((CounterProbe::new(), SiteProbe::new()), tracer);
-        let name = intern_name(workload.name());
-        let params = SimParams::for_depth(depth);
-        let (result, ((counters, sites), tracer)) = match traces.and_then(|t| t.replayer(workload))
-        {
-            Some(replayer) => simulate_source_probed(
-                name,
-                replayer,
-                params,
-                config,
-                spec.warmup,
-                spec.measure,
-                probe,
-            ),
-            None => simulate_source_probed(
-                name,
-                arvi_isa::Emulator::new(workload.program(spec.seed)),
-                params,
-                config,
-                spec.warmup,
-                spec.measure,
-                probe,
-            ),
-        };
+        let (result, ((counters, sites), tracer)) =
+            simulate_probed(workload, depth, config, spec, traces, probe);
         report.merged.merge(&counters);
         report.workloads.push(WorkloadObs {
             name: workload.name().to_string(),
@@ -228,6 +208,47 @@ pub fn run_obs_pass(
         });
     }
     report
+}
+
+/// One probed simulation of `workload` at (`depth`, `config`) under
+/// `spec`: replays the shared recording when `traces` holds one covering
+/// [`trace_len`]`(spec)`, and emulates live otherwise. Both the anchor
+/// pass and the grid pass ([`crate::obs_grid`]) run their cells here.
+pub(crate) fn simulate_probed<P: Probe>(
+    workload: &Workload,
+    depth: Depth,
+    config: PredictorConfig,
+    spec: Spec,
+    traces: Option<&TraceSet>,
+    probe: P,
+) -> (SimResult, P) {
+    let name = intern_name(workload.name());
+    let params = SimParams::for_depth(depth);
+    let replayer = traces.and_then(|t| {
+        t.get(workload)
+            .filter(|tr| tr.len() >= trace_len(spec))
+            .and_then(|_| t.replayer(workload))
+    });
+    match replayer {
+        Some(replayer) => simulate_source_probed(
+            name,
+            replayer,
+            params,
+            config,
+            spec.warmup,
+            spec.measure,
+            probe,
+        ),
+        None => simulate_source_probed(
+            name,
+            arvi_isa::Emulator::new(workload.program(spec.seed)),
+            params,
+            config,
+            spec.warmup,
+            spec.measure,
+            probe,
+        ),
+    }
 }
 
 impl ObsReport {
@@ -273,32 +294,22 @@ impl ObsReport {
             ("depth", Json::Num(self.depth.stages() as f64)),
         ];
         if cfg.counters {
-            fields.push((
-                "counters",
-                Json::parse(&self.merged.to_json()).expect("CounterProbe emits valid JSON"),
-            ));
+            fields.push(("counters", counters_summary_json(&self.merged)));
         }
         let mut per = Vec::new();
         for w in &self.workloads {
             let mut wf = vec![
-                ("name".to_string(), Json::str(&w.name)),
-                ("ipc".to_string(), Json::Num(w.result.ipc())),
-                ("accuracy".to_string(), Json::Num(w.result.accuracy())),
+                ("name", Json::str(&w.name)),
+                ("ipc", Json::Num(w.result.ipc())),
+                ("accuracy", Json::Num(w.result.accuracy())),
             ];
             if cfg.counters {
-                wf.push((
-                    "counters".to_string(),
-                    Json::parse(&w.counters.to_json()).expect("CounterProbe emits valid JSON"),
-                ));
+                wf.push(("counters", counters_summary_json(&w.counters)));
             }
             if cfg.sites {
-                wf.push((
-                    "sites".to_string(),
-                    Json::parse(&w.sites.to_json(cfg.top_sites))
-                        .expect("SiteProbe emits valid JSON"),
-                ));
+                wf.push(("sites", top_sites_json(&w.sites, cfg.top_sites)));
             }
-            per.push(Json::Obj(wf));
+            per.push(Json::obj(wf));
         }
         fields.push(("workloads", Json::Arr(per)));
         if let Some((start, end)) = cfg.trace {

@@ -9,13 +9,13 @@
 //! `(workload, config)` group and grid-wide into one `obs_grid.json`
 //! rollup ([`obs_grid_json`]).
 //!
-//! Merged probes need full-fidelity serialization (the lossy
-//! `CounterProbe::to_json` folds idle cycles into its issue buckets and
-//! cannot be inverted): [`counters_to_json`]/[`counters_from_json`] and
-//! [`sites_to_json`]/[`sites_from_json`] round-trip exactly, which is
-//! what makes a resumed grid byte-identical to an uninterrupted one.
-//! Site tables render sorted by PC and groups merge in point order, so
-//! the rollup is also byte-identical across worker counts.
+//! Journaled cells and the rollup use the lossless probe codec in
+//! [`arvi_obs::codec`] ([`counters_to_json`], [`sites_to_json`] and
+//! their inverses), which is what makes a resumed grid byte-identical to
+//! an uninterrupted one; each group's `top` list is the report view
+//! [`top_sites_json`]. Site tables render sorted by PC and groups merge
+//! in point order, so the rollup is also byte-identical across worker
+//! counts.
 //!
 //! [`attribution_diff`] is the differential pass over the merged site
 //! tables: per workload, the branch PCs the ARVI configuration *fixes*
@@ -26,15 +26,17 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use arvi_obs::counters::ISSUE_BUCKETS;
-use arvi_obs::{CounterProbe, Log2Hist, SiteProbe, SiteStats};
-use arvi_sim::{execute, intern_name, simulate_source_probed, PredictorConfig, SimParams};
-use arvi_workloads::WorkloadSource;
+use arvi_obs::codec::{
+    counters_from_json, counters_to_json, sites_from_json, sites_to_json, top_sites_json,
+};
+use arvi_obs::{CounterProbe, SiteProbe};
+use arvi_sim::{execute, PredictorConfig};
 
 use crate::harness::Spec;
+use crate::obs::simulate_probed;
 use crate::report::{write_text, Json};
 use crate::resilience::{cell_fingerprint, panic_message, Journal, Resilience};
-use crate::sweep::{trace_len, SweepPoint, TraceSet};
+use crate::sweep::{SweepPoint, TraceSet};
 use crate::Run;
 
 /// The probes collected from one grid cell.
@@ -155,9 +157,9 @@ pub fn run_obs_grid(
                 t.event(
                     "cell_start",
                     vec![
-                        ("pass".to_string(), Json::str("obs")),
-                        ("cell".to_string(), Json::Num(i as f64)),
-                        ("point".to_string(), Json::str(point.to_string())),
+                        ("pass", Json::str("obs")),
+                        ("cell", Json::Num(i as f64)),
+                        ("point", Json::str(point.to_string())),
                     ],
                 );
             }
@@ -181,10 +183,10 @@ pub fn run_obs_grid(
                 t.event(
                     "cell_end",
                     vec![
-                        ("pass".to_string(), Json::str("obs")),
-                        ("cell".to_string(), Json::Num(i as f64)),
-                        ("point".to_string(), Json::str(point.to_string())),
-                        ("outcome".to_string(), Json::str(outcome)),
+                        ("pass", Json::str("obs")),
+                        ("cell", Json::Num(i as f64)),
+                        ("point", Json::str(point.to_string())),
+                        ("outcome", Json::str(outcome)),
                     ],
                 );
             }
@@ -245,12 +247,9 @@ pub fn run_obs_grid(
         t.event(
             "obs_grid_end",
             vec![
-                ("cells".to_string(), Json::Num(grid.total as f64)),
-                ("completed".to_string(), Json::Num(grid.completed as f64)),
-                (
-                    "dur_us".to_string(),
-                    Json::Num(start.elapsed().as_micros() as f64),
-                ),
+                ("cells", Json::Num(grid.total as f64)),
+                ("completed", Json::Num(grid.completed as f64)),
+                ("dur_us", Json::Num(start.elapsed().as_micros() as f64)),
             ],
         );
     }
@@ -271,33 +270,14 @@ fn run_obs_cell(
     }
     let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let probe = (CounterProbe::new(), SiteProbe::new());
-        let name = intern_name(point.workload.name());
-        let params = SimParams::for_depth(point.depth);
-        let replayer = traces.and_then(|t| {
-            t.get(&point.workload)
-                .filter(|tr| tr.len() >= trace_len(spec))
-                .and_then(|_| t.replayer(&point.workload))
-        });
-        let (_, (counters, sites)) = match replayer {
-            Some(replayer) => simulate_source_probed(
-                name,
-                replayer,
-                params,
-                point.config,
-                spec.warmup,
-                spec.measure,
-                probe,
-            ),
-            None => simulate_source_probed(
-                name,
-                arvi_isa::Emulator::new(point.workload.program(spec.seed)),
-                params,
-                point.config,
-                spec.warmup,
-                spec.measure,
-                probe,
-            ),
-        };
+        let (_, (counters, sites)) = simulate_probed(
+            &point.workload,
+            point.depth,
+            point.config,
+            spec,
+            traces,
+            probe,
+        );
         CellObs { counters, sites }
     }));
     match attempt {
@@ -313,208 +293,6 @@ fn run_obs_cell(
 
 fn n(v: u64) -> Json {
     Json::Num(v as f64)
-}
-
-fn u(j: &Json, path: &str) -> Option<u64> {
-    j.num(path).filter(|v| *v >= 0.0).map(|v| v as u64)
-}
-
-fn hist_to_json(h: &Log2Hist) -> Json {
-    Json::obj([
-        ("sum", n(h.sum())),
-        ("max", n(h.max())),
-        (
-            "buckets",
-            Json::Arr(
-                h.nonzero_buckets()
-                    .map(|(lo, count)| Json::Arr(vec![n(lo), n(count)]))
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn hist_from_json(j: &Json) -> Option<Log2Hist> {
-    let sum = u(j, "sum")?;
-    let max = u(j, "max")?;
-    let Some(Json::Arr(rows)) = j.get("buckets") else {
-        return None;
-    };
-    let mut buckets = Vec::with_capacity(rows.len());
-    for row in rows {
-        let Json::Arr(pair) = row else { return None };
-        match (pair.first(), pair.get(1)) {
-            (Some(Json::Num(lo)), Some(Json::Num(count))) => {
-                buckets.push((*lo as u64, *count as u64));
-            }
-            _ => return None,
-        }
-    }
-    Some(Log2Hist::from_parts(buckets, sum, max))
-}
-
-/// Full-fidelity [`CounterProbe`] serialization: every scalar counter,
-/// the raw issue state, each histogram's exact parts, and the cache
-/// snapshot. Unlike `CounterProbe::to_json` (a report surface that
-/// derives issue utilization), this is invertible via
-/// [`counters_from_json`].
-pub fn counters_to_json(c: &CounterProbe) -> Json {
-    let (issue_counts, issue_cycles, issue_width) = c.issue_state();
-    Json::obj([
-        ("cycles", n(c.cycles)),
-        ("fetched", n(c.fetched)),
-        ("committed", n(c.committed)),
-        ("writebacks", n(c.writebacks)),
-        ("branches", n(c.branches)),
-        ("mispredicts", n(c.mispredicts)),
-        (
-            "issue",
-            Json::obj([
-                (
-                    "counts",
-                    Json::Arr(issue_counts.iter().map(|&v| n(v)).collect()),
-                ),
-                ("cycles", n(issue_cycles)),
-                ("width", n(issue_width as u64)),
-            ]),
-        ),
-        (
-            "hist",
-            Json::Obj(
-                c.histograms()
-                    .into_iter()
-                    .map(|(name, h)| (name.to_string(), hist_to_json(h)))
-                    .collect(),
-            ),
-        ),
-        (
-            "cache",
-            Json::Obj(
-                c.cache
-                    .rows()
-                    .into_iter()
-                    .map(|(name, hits, misses)| {
-                        (name.to_string(), Json::Arr(vec![n(hits), n(misses)]))
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-/// Inverse of [`counters_to_json`]; `None` on any malformed field.
-pub fn counters_from_json(j: &Json) -> Option<CounterProbe> {
-    let mut c = CounterProbe::new();
-    c.cycles = u(j, "cycles")?;
-    c.fetched = u(j, "fetched")?;
-    c.committed = u(j, "committed")?;
-    c.writebacks = u(j, "writebacks")?;
-    c.branches = u(j, "branches")?;
-    c.mispredicts = u(j, "mispredicts")?;
-    let Some(Json::Arr(items)) = j.get("issue.counts") else {
-        return None;
-    };
-    if items.len() != ISSUE_BUCKETS {
-        return None;
-    }
-    let mut counts = [0u64; ISSUE_BUCKETS];
-    for (slot, item) in counts.iter_mut().zip(items) {
-        match item {
-            Json::Num(v) => *slot = *v as u64,
-            _ => return None,
-        }
-    }
-    c.restore_issue_state(counts, u(j, "issue.cycles")?, u(j, "issue.width")? as u32);
-    for (name, h) in c.histograms_mut() {
-        *h = hist_from_json(j.get("hist")?.get(name)?)?;
-    }
-    let pair = |key: &str| -> Option<(u64, u64)> {
-        match j.get("cache")?.get(key)? {
-            Json::Arr(v) if v.len() == 2 => match (&v[0], &v[1]) {
-                (Json::Num(a), Json::Num(b)) => Some((*a as u64, *b as u64)),
-                _ => None,
-            },
-            _ => None,
-        }
-    };
-    c.cache.l1i = pair("l1i")?;
-    c.cache.l1d = pair("l1d")?;
-    c.cache.l2 = pair("l2")?;
-    c.cache.itlb = pair("itlb")?;
-    c.cache.dtlb = pair("dtlb")?;
-    Some(c)
-}
-
-/// Full-fidelity [`SiteProbe`] serialization: the whole table, one
-/// `[pc, total, final_correct, l1_correct, overrides,
-/// overrides_correcting, confident, confident_wrong, bvit_hits,
-/// load_class]` row per site, sorted by PC — canonical regardless of
-/// the probe's internal slot layout.
-pub fn sites_to_json(s: &SiteProbe) -> Json {
-    let mut rows: Vec<&SiteStats> = s.iter().collect();
-    rows.sort_by_key(|r| r.pc);
-    Json::obj([
-        ("sites", n(s.sites as u64)),
-        ("dropped", n(s.dropped)),
-        (
-            "table",
-            Json::Arr(
-                rows.into_iter()
-                    .map(|r| {
-                        Json::Arr(vec![
-                            n(r.pc),
-                            n(r.total),
-                            n(r.final_correct),
-                            n(r.l1_correct),
-                            n(r.overrides),
-                            n(r.overrides_correcting),
-                            n(r.confident),
-                            n(r.confident_wrong),
-                            n(r.bvit_hits),
-                            n(r.load_class),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-/// Inverse of [`sites_to_json`]; `None` on any malformed row.
-pub fn sites_from_json(j: &Json) -> Option<SiteProbe> {
-    let mut p = SiteProbe::new();
-    let Some(Json::Arr(rows)) = j.get("table") else {
-        return None;
-    };
-    for row in rows {
-        let Json::Arr(v) = row else { return None };
-        if v.len() != 10 {
-            return None;
-        }
-        let mut f = [0u64; 10];
-        for (slot, item) in f.iter_mut().zip(v) {
-            match item {
-                Json::Num(x) => *slot = *x as u64,
-                _ => return None,
-            }
-        }
-        p.record_stats(&SiteStats {
-            pc: f[0],
-            total: f[1],
-            final_correct: f[2],
-            l1_correct: f[3],
-            overrides: f[4],
-            overrides_correcting: f[5],
-            confident: f[6],
-            confident_wrong: f[7],
-            bvit_hits: f[8],
-            load_class: f[9],
-        });
-    }
-    // After the inserts: drops charged by an over-full reconstruction
-    // add to the journaled count rather than replacing it.
-    p.dropped = p.dropped.saturating_add(u(j, "dropped")?);
-    Some(p)
 }
 
 /// The merged-grid rollup document. Canonical: groups in point order,
@@ -565,11 +343,7 @@ pub fn obs_grid_json(grid: &ObsGrid, top_sites: usize) -> Json {
                             ("cells", n(g.cells as u64)),
                             ("counters", counters_to_json(&g.counters)),
                             ("sites", sites_to_json(&g.sites)),
-                            (
-                                "top",
-                                Json::parse(&g.sites.to_json(top_sites))
-                                    .expect("SiteProbe emits valid JSON"),
-                            ),
+                            ("top", top_sites_json(&g.sites, top_sites)),
                         ])
                     })
                     .collect(),
@@ -586,11 +360,7 @@ pub fn obs_grid_json(grid: &ObsGrid, top_sites: usize) -> Json {
                         ("dropped", n(grid.sites.dropped)),
                     ]),
                 ),
-                (
-                    "top",
-                    Json::parse(&grid.sites.to_json(top_sites))
-                        .expect("SiteProbe emits valid JSON"),
-                ),
+                ("top", top_sites_json(&grid.sites, top_sites)),
             ]),
         ),
     ])
@@ -657,22 +427,13 @@ fn group_sites(group: &Json) -> Option<GroupSites> {
         Json::Str(s) => s.clone(),
         _ => return None,
     };
-    let Some(Json::Arr(rows)) = group.get("sites.table") else {
-        return None;
-    };
-    let mut table = HashMap::with_capacity(rows.len());
+    let sites = sites_from_json(group.get("sites")?)?;
+    let mut table = HashMap::with_capacity(sites.sites);
     let (mut correct, mut total) = (0u64, 0u64);
-    for row in rows {
-        let Json::Arr(v) = row else { return None };
-        match (v.first(), v.get(1), v.get(2)) {
-            (Some(Json::Num(pc)), Some(Json::Num(t)), Some(Json::Num(fc))) => {
-                let (t, fc) = (*t as u64, *fc as u64);
-                table.insert(*pc as u64, (t, t.saturating_sub(fc)));
-                correct += fc;
-                total += t;
-            }
-            _ => return None,
-        }
+    for s in sites.iter() {
+        table.insert(s.pc, (s.total, s.total.saturating_sub(s.final_correct)));
+        correct += s.final_correct;
+        total += s.total;
     }
     Some(GroupSites {
         config_label: label,
@@ -879,79 +640,6 @@ pub fn maybe_obs_grid(run: &Run, points: &[SweepPoint]) {
             "warning: obs grid incomplete: {} cells failed or were skipped \
              (re-run with --resume to finish them)",
             grid.failed.len()
-        );
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use arvi_obs::Probe as _;
-
-    #[test]
-    fn counters_round_trip_exactly() {
-        let mut c = CounterProbe::new();
-        c.on_cycle(0, 17);
-        c.on_cycle(1, 3);
-        c.on_issue(0, 2, 4);
-        c.on_issue(1, 4, 4);
-        c.on_fetch(0, 0, 0x40, true, false);
-        c.on_commit(1, 0);
-        c.on_mem_access(0, 1, 9);
-        c.on_mispredict(1, 2, 0x80, 5);
-        c.on_recovery(3, 12);
-        c.on_chain_read(0, 0x40, 3, 2, 1);
-        c.on_ddt_insert(0, 0, 7);
-        c.on_writeback(1, 0);
-        c.cache.l1d = (100, 7);
-        c.cache.itlb = (50, 1);
-        let j = counters_to_json(&c);
-        let back = counters_from_json(&j).expect("round trip");
-        assert_eq!(
-            counters_to_json(&back).render_compact(),
-            j.render_compact(),
-            "serialization is a fixpoint"
-        );
-        // Also through a text round trip (what the journal does).
-        let reparsed = Json::parse(&j.render_compact()).unwrap();
-        let back2 = counters_from_json(&reparsed).expect("parse round trip");
-        assert_eq!(
-            counters_to_json(&back2).render_compact(),
-            j.render_compact()
-        );
-        assert_eq!(back.cycles, 2);
-        assert_eq!(back.issue_state(), c.issue_state());
-        assert_eq!(back.cache.l1d, (100, 7));
-        assert_eq!(back.recovery.sum(), 12);
-    }
-
-    #[test]
-    fn sites_round_trip_exactly() {
-        let mut s = SiteProbe::with_capacity(64);
-        for pc in [0x40u64, 0x80, 0x40, 0x200] {
-            s.on_branch_resolve(
-                0,
-                pc,
-                &arvi_obs::BranchResolution {
-                    actual: true,
-                    final_taken: pc != 0x80,
-                    l1_taken: false,
-                    confident: true,
-                    override_fired: true,
-                    bvit_hit: false,
-                    load_class: Some(true),
-                },
-            );
-        }
-        s.dropped = 3;
-        let j = sites_to_json(&s);
-        let back = sites_from_json(&j).expect("round trip");
-        assert_eq!(back.sites, s.sites);
-        assert_eq!(back.dropped, 3);
-        assert_eq!(
-            sites_to_json(&back).render_compact(),
-            j.render_compact(),
-            "serialization is a fixpoint"
         );
     }
 }

@@ -838,8 +838,8 @@ pub(crate) fn run_grid(
         t.event(
             "sweep_start",
             vec![
-                ("cells".to_string(), Json::Num(points.len() as f64)),
-                ("threads".to_string(), Json::Num(threads as f64)),
+                ("cells", Json::Num(points.len() as f64)),
+                ("threads", Json::Num(threads as f64)),
             ],
         );
     }
@@ -851,8 +851,8 @@ pub(crate) fn run_grid(
             t.event(
                 "cell_start",
                 vec![
-                    ("cell".to_string(), Json::Num(i as f64)),
-                    ("point".to_string(), Json::str(point.to_string())),
+                    ("cell", Json::Num(i as f64)),
+                    ("point", Json::str(point.to_string())),
                 ],
             );
         }
@@ -944,9 +944,9 @@ pub(crate) fn run_grid(
         t.event(
             "sweep_end",
             vec![
-                ("cells".to_string(), Json::Num(points.len() as f64)),
+                ("cells", Json::Num(points.len() as f64)),
                 (
-                    "completed".to_string(),
+                    "completed",
                     Json::Num(
                         sweep
                             .outcomes
@@ -956,7 +956,7 @@ pub(crate) fn run_grid(
                     ),
                 ),
                 (
-                    "dur_us".to_string(),
+                    "dur_us",
                     Json::Num(sweep_start.elapsed().as_micros() as f64),
                 ),
             ],
@@ -997,9 +997,9 @@ fn emit_cell_events(
 ) {
     let key = outcome_key(outcome);
     let mut fields = vec![
-        ("cell".to_string(), Json::Num(i as f64)),
-        ("point".to_string(), Json::str(point.to_string())),
-        ("outcome".to_string(), Json::str(key)),
+        ("cell", Json::Num(i as f64)),
+        ("point", Json::str(point.to_string())),
+        ("outcome", Json::str(key)),
     ];
     let mut simulated_duration = None;
     let mut resumed = false;
@@ -1013,27 +1013,24 @@ fn emit_cell_events(
         } else {
             "replay"
         };
-        fields.push(("phase".to_string(), Json::str(phase)));
+        fields.push(("phase", Json::str(phase)));
         if s.degradation != Degradation::None {
             degraded = Some(s.degradation.tag());
-            fields.push(("degraded".to_string(), Json::str(s.degradation.tag())));
+            fields.push(("degraded", Json::str(s.degradation.tag())));
         }
-        fields.push((
-            "dur_us".to_string(),
-            Json::Num(s.duration.as_micros() as f64),
-        ));
+        fields.push(("dur_us", Json::Num(s.duration.as_micros() as f64)));
         if !s.resumed {
             simulated_duration = Some(s.duration);
         }
     } else if let Some(reason) = outcome.failure() {
-        fields.push(("reason".to_string(), Json::str(reason)));
+        fields.push(("reason", Json::str(reason)));
     }
     if resumed {
         t.event(
             "resume_hit",
             vec![
-                ("cell".to_string(), Json::Num(i as f64)),
-                ("point".to_string(), Json::str(point.to_string())),
+                ("cell", Json::Num(i as f64)),
+                ("point", Json::str(point.to_string())),
             ],
         );
     }

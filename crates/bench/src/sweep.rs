@@ -180,7 +180,7 @@ impl TraceSet {
         if let Some(t) = telemetry {
             t.event(
                 "record_start",
-                vec![("workloads".to_string(), Json::Num(workloads.len() as f64))],
+                vec![("workloads", Json::Num(workloads.len() as f64))],
             );
         }
         let start = Instant::now();

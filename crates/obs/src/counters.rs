@@ -4,9 +4,8 @@ use crate::hist::Log2Hist;
 use crate::{BranchResolution, CacheSnapshot, Probe};
 
 /// Issue counts above this are clamped into the last bucket (the
-/// modeled machines are 4-wide; 15 leaves generous headroom). Public so
-/// full-fidelity serializers can round-trip the raw issue state.
-pub const ISSUE_BUCKETS: usize = 16;
+/// modeled machines are 4-wide; 15 leaves generous headroom).
+pub(crate) const ISSUE_BUCKETS: usize = 16;
 
 /// Fixed-footprint pipeline/predictor telemetry: event counters plus
 /// log2-bucket histograms, recorded with zero steady-state allocation
@@ -41,11 +40,11 @@ pub struct CounterProbe {
     /// Data-access latency per load/store.
     pub mem_latency: Log2Hist,
     /// issued-per-cycle counts; index clamped to `ISSUE_BUCKETS - 1`.
-    issue_counts: [u64; ISSUE_BUCKETS],
+    pub(crate) issue_counts: [u64; ISSUE_BUCKETS],
     /// Cycles on which the issue stage ran (had candidates).
-    issue_cycles: u64,
+    pub(crate) issue_cycles: u64,
     /// The machine's issue width (recorded from the first issue event).
-    issue_width: u32,
+    pub(crate) issue_width: u32,
     /// End-of-run cache/TLB totals.
     pub cache: CacheSnapshot,
 }
@@ -87,22 +86,6 @@ impl CounterProbe {
         total as f64 / self.cycles as f64
     }
 
-    /// The raw issue-stage state `(counts, issue_cycles, issue_width)`.
-    /// Unlike [`CounterProbe::issue_utilization`] — which folds idle
-    /// cycles into the zero bucket and clamps to the issue width — this
-    /// is the exact internal state, so serializing it round-trips.
-    pub fn issue_state(&self) -> ([u64; ISSUE_BUCKETS], u64, u32) {
-        (self.issue_counts, self.issue_cycles, self.issue_width)
-    }
-
-    /// Restores state captured by [`CounterProbe::issue_state`]
-    /// (deserialization seam for merged-telemetry journals).
-    pub fn restore_issue_state(&mut self, counts: [u64; ISSUE_BUCKETS], cycles: u64, width: u32) {
-        self.issue_counts = counts;
-        self.issue_cycles = cycles;
-        self.issue_width = width;
-    }
-
     /// Adds every sample of `other` into `self` (per-workload merge).
     pub fn merge(&mut self, other: &CounterProbe) {
         self.cycles += other.cycles;
@@ -139,7 +122,7 @@ impl CounterProbe {
 
     /// The histograms as mutable `(name, hist)` rows, mirroring
     /// [`CounterProbe::histograms`] (deserialization seam).
-    pub fn histograms_mut(&mut self) -> [(&'static str, &mut Log2Hist); 6] {
+    pub(crate) fn histograms_mut(&mut self) -> [(&'static str, &mut Log2Hist); 6] {
         [
             ("rob_occupancy", &mut self.rob_occupancy),
             ("ddt_occupancy", &mut self.ddt_occupancy),
@@ -192,43 +175,6 @@ impl CounterProbe {
             };
             out.push_str(&format!("| {name} | {hits} | {misses} | {rate:.2}% |\n"));
         }
-        out
-    }
-
-    /// Compact JSON object (all keys static, no escaping needed).
-    pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"cycles\":{},\"fetched\":{},\"committed\":{},\"writebacks\":{},\
-             \"branches\":{},\"mispredicts\":{},\"mean_issued\":{:.4},\"issue\":[",
-            self.cycles,
-            self.fetched,
-            self.committed,
-            self.writebacks,
-            self.branches,
-            self.mispredicts,
-            self.mean_issued()
-        );
-        for (i, (n, c)) in self.issue_utilization().into_iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("[{n},{c}]"));
-        }
-        out.push_str("],\"hist\":{");
-        for (i, (name, h)) in self.histograms().into_iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{name}\":{}", h.to_json()));
-        }
-        out.push_str("},\"cache\":{");
-        for (i, (name, hits, misses)) in self.cache.rows().into_iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{name}\":[{hits},{misses}]"));
-        }
-        out.push_str("}}");
         out
     }
 }
@@ -354,14 +300,35 @@ mod tests {
     #[test]
     fn renders_markdown_and_json() {
         let mut p = CounterProbe::new();
-        p.on_cycle(0, 4);
-        p.on_issue(0, 1, 4);
-        p.on_chain_read(0, 0x40, 3, 2, 1);
+        // Every mean needs rounding (thirds), pinning the `{:.4}` and
+        // `{:.3}` report precision.
+        for (cycle, v) in [(0, 1), (1, 1), (2, 2)] {
+            p.on_cycle(cycle, v);
+            p.on_ddt_insert(cycle, 0, v);
+            p.on_chain_read(cycle, 0x40, v, v + 1, 1);
+            p.on_recovery(cycle, v as u64 + (cycle == 1) as u64);
+            p.on_mem_access(cycle, 0, v as u64 + 2);
+        }
+        p.on_issue(0, 4, 4);
+        p.cache.l1d = (10, 2);
         let md = p.to_markdown();
-        assert!(md.contains("| active cycles | 1 |"));
+        assert!(md.contains("| active cycles | 3 |"));
         assert!(md.contains("chain_len"));
-        let json = p.to_json();
-        assert!(json.starts_with("{\"cycles\":1,"), "{json}");
-        assert!(json.contains("\"cache\":{\"l1i\":[0,0]"), "{json}");
+        assert_eq!(
+            crate::codec::counters_summary_json(&p).render_compact(),
+            concat!(
+                r#"{"cycles":3,"fetched":0,"committed":0,"writebacks":0,"branches":0,"#,
+                r#""mispredicts":0,"mean_issued":1.3333,"issue":[[0,2],[1,0],[2,0],[3,0],[4,1]],"#,
+                r#""hist":{"rob_occupancy":{"count":3,"sum":4,"max":2,"mean":1.333,"#,
+                r#""buckets":[[1,2],[2,1]]},"ddt_occupancy":{"count":3,"sum":4,"max":2,"#,
+                r#""mean":1.333,"buckets":[[1,2],[2,1]]},"chain_len":{"count":3,"sum":4,"#,
+                r#""max":2,"mean":1.333,"buckets":[[1,2],[2,1]]},"leaf_set":{"count":3,"#,
+                r#""sum":7,"max":3,"mean":2.333,"buckets":[[2,3]]},"recovery_cycles":{"#,
+                r#""count":3,"sum":5,"max":2,"mean":1.667,"buckets":[[1,1],[2,2]]},"#,
+                r#""mem_latency":{"count":3,"sum":10,"max":4,"mean":3.333,"#,
+                r#""buckets":[[2,2],[4,1]]}},"cache":{"l1i":[0,0],"l1d":[10,2],"l2":[0,0],"#,
+                r#""itlb":[0,0],"dtlb":[0,0]}}"#
+            )
+        );
     }
 }

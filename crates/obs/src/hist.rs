@@ -76,7 +76,7 @@ impl Log2Hist {
     /// when merged telemetry is restored from an obs journal. Any
     /// in-range bound lands in the bucket that would have counted it,
     /// so round-tripping through bucket lower bounds is lossless.
-    pub fn from_parts(
+    pub(crate) fn from_parts(
         buckets: impl IntoIterator<Item = (u64, u64)>,
         sum: u64,
         max: u64,
@@ -121,28 +121,6 @@ impl Log2Hist {
         } else {
             format!("{}-{}", lo, 2 * lo - 1)
         }
-    }
-
-    /// Compact JSON: `{"count":..,"sum":..,"max":..,"mean":..,
-    /// "buckets":[[lo,count],..]}`.
-    pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"count\":{},\"sum\":{},\"max\":{},\"mean\":{:.3},\"buckets\":[",
-            self.count(),
-            self.sum,
-            self.max,
-            self.mean()
-        );
-        let mut first = true;
-        for (lo, n) in self.nonzero_buckets() {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!("[{lo},{n}]"));
-        }
-        out.push_str("]}");
-        out
     }
 
     /// Appends `| name | bucket | count | share |` markdown rows, one
@@ -220,9 +198,12 @@ mod tests {
     #[test]
     fn json_shape() {
         let mut h = Log2Hist::new();
-        h.record(5);
-        let j = h.to_json();
-        assert!(j.starts_with("{\"count\":1,\"sum\":5,\"max\":5"), "{j}");
-        assert!(j.contains("\"buckets\":[[4,1]]"), "{j}");
+        for v in [1, 1, 2] {
+            h.record(v);
+        }
+        assert_eq!(
+            crate::codec::hist_summary_json(&h).render_compact(),
+            r#"{"count":3,"sum":4,"max":2,"mean":1.333,"buckets":[[1,2],[2,1]]}"#
+        );
     }
 }

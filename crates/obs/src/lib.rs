@@ -28,14 +28,24 @@
 //!
 //! Probes compose structurally: `(A, B)` is a probe that forwards every
 //! hook to both halves, still monomorphized.
+//!
+//! The crate also owns the workspace's one JSON implementation,
+//! [`Json`] (value tree, printers, parser), and the probes' JSON forms
+//! beside it in [`codec`]: lossless snapshots that obs journals and the
+//! grid rollup round-trip exactly, and the report views (counter
+//! summary, top-N sites) that `--obs-out` writes. No probe renders JSON
+//! text by hand.
 
+pub mod codec;
 pub mod counters;
 pub mod hist;
+pub mod json;
 pub mod sites;
 pub mod trace;
 
 pub use counters::CounterProbe;
 pub use hist::Log2Hist;
+pub use json::Json;
 pub use sites::{SiteProbe, SiteStats};
 pub use trace::ChromeTracer;
 

@@ -170,6 +170,38 @@ impl SiteProbe {
         self.slots.iter().filter(|s| s.total > 0)
     }
 
+    /// Per-site counts recorded since `earlier`, a clone of this probe
+    /// taken at a window boundary (e.g. the end of warm-up): one entry
+    /// per site that executed in between, in table order. Sites never
+    /// move once inserted, so slot `i` of `earlier` is either empty or
+    /// the same PC as slot `i` here.
+    pub fn since(&self, earlier: &SiteProbe) -> Vec<SiteStats> {
+        assert_eq!(
+            self.mask, earlier.mask,
+            "`earlier` is not a clone of this probe"
+        );
+        self.slots
+            .iter()
+            .zip(earlier.slots.iter())
+            .filter(|(now, then)| now.total > then.total)
+            .map(|(now, then)| {
+                debug_assert!(then.total == 0 || then.pc == now.pc);
+                SiteStats {
+                    pc: now.pc,
+                    total: now.total - then.total,
+                    final_correct: now.final_correct - then.final_correct,
+                    l1_correct: now.l1_correct - then.l1_correct,
+                    overrides: now.overrides - then.overrides,
+                    overrides_correcting: now.overrides_correcting - then.overrides_correcting,
+                    confident: now.confident - then.confident,
+                    confident_wrong: now.confident_wrong - then.confident_wrong,
+                    bvit_hits: now.bvit_hits - then.bvit_hits,
+                    load_class: now.load_class - then.load_class,
+                }
+            })
+            .collect()
+    }
+
     /// The `n` sites with the most final mispredicts, worst first
     /// (ties broken by PC for determinism).
     pub fn top_sites(&self, n: usize) -> Vec<SiteStats> {
@@ -206,38 +238,6 @@ impl SiteProbe {
             self.dropped,
             self.mask + 1
         ));
-        out
-    }
-
-    /// Compact JSON: `{"sites":..,"dropped":..,"top":[{..},..]}` for
-    /// the top `n` sites.
-    pub fn to_json(&self, n: usize) -> String {
-        let mut out = format!(
-            "{{\"sites\":{},\"dropped\":{},\"top\":[",
-            self.sites, self.dropped
-        );
-        for (i, s) in self.top_sites(n).into_iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"pc\":{},\"total\":{},\"mispredicts\":{},\"final_correct\":{},\
-                 \"l1_correct\":{},\"overrides\":{},\"overrides_correcting\":{},\
-                 \"confident\":{},\"confident_wrong\":{},\"bvit_hits\":{},\"load_class\":{}}}",
-                s.pc,
-                s.total,
-                s.mispredicts(),
-                s.final_correct,
-                s.l1_correct,
-                s.overrides,
-                s.overrides_correcting,
-                s.confident,
-                s.confident_wrong,
-                s.bvit_hits,
-                s.load_class,
-            ));
-        }
-        out.push_str("]}");
         out
     }
 }
@@ -363,6 +363,27 @@ mod tests {
     }
 
     #[test]
+    fn since_counts_only_the_window() {
+        let mut p = SiteProbe::with_capacity(16);
+        for _ in 0..3 {
+            p.on_branch_resolve(0, 0x40, &res(true, false, true, false));
+        }
+        p.on_branch_resolve(0, 0x80, &res(true, true, true, true));
+        let warm = p.clone();
+        p.on_branch_resolve(0, 0x40, &res(true, true, false, true));
+        p.on_branch_resolve(0, 0xc0, &res(false, false, false, false));
+        let mut window = p.since(&warm);
+        window.sort_by_key(|s| s.pc);
+        assert_eq!(window.len(), 2, "0x80 did not execute in the window");
+        assert_eq!((window[0].pc, window[0].total), (0x40, 1));
+        assert_eq!(window[0].final_correct, 0);
+        assert_eq!(window[0].l1_correct, 1);
+        assert_eq!(window[0].confident_wrong, 1);
+        assert_eq!((window[1].pc, window[1].total), (0xc0, 1));
+        assert_eq!(window[1].final_correct, 1);
+    }
+
+    #[test]
     fn record_stats_ignores_empty() {
         let mut a = SiteProbe::with_capacity(16);
         assert!(a.record_stats(&SiteStats::default()));
@@ -373,10 +394,22 @@ mod tests {
     fn renders() {
         let mut p = SiteProbe::new();
         p.on_branch_resolve(0, 0x40, &res(true, false, false, false));
+        for _ in 0..2 {
+            p.on_branch_resolve(0, 0x80, &res(false, false, true, true));
+        }
+        p.on_branch_resolve(0, 0xc0, &res(true, true, true, true));
         let md = p.to_markdown(5);
         assert!(md.contains("0x40"), "{md}");
-        let json = p.to_json(5);
-        assert!(json.contains("\"pc\":64"), "{json}");
-        assert!(json.starts_with("{\"sites\":1,\"dropped\":0"), "{json}");
+        assert_eq!(
+            crate::codec::top_sites_json(&p, 2).render_compact(),
+            concat!(
+                r#"{"sites":3,"dropped":0,"top":[{"pc":128,"total":2,"mispredicts":2,"#,
+                r#""final_correct":0,"l1_correct":2,"overrides":2,"overrides_correcting":0,"#,
+                r#""confident":2,"confident_wrong":2,"bvit_hits":2,"load_class":0},"#,
+                r#"{"pc":64,"total":1,"mispredicts":1,"final_correct":0,"l1_correct":0,"#,
+                r#""overrides":0,"overrides_correcting":0,"confident":0,"confident_wrong":0,"#,
+                r#""bvit_hits":1,"load_class":0}]}"#
+            )
+        );
     }
 }

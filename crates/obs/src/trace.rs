@@ -8,7 +8,7 @@
 //! `chrome://tracing` or Perfetto; cycles are mapped to microseconds
 //! 1:1 so the timeline reads in cycles.
 
-use crate::Probe;
+use crate::{Json, Probe};
 
 /// Event capacity cap: ~64k events keeps the JSON in the tens of MB at
 /// worst. Past the cap events are dropped and counted.
@@ -94,11 +94,6 @@ impl ChromeTracer {
         }
     }
 
-    /// The traced window as `(start, end)`.
-    pub fn window(&self) -> (u64, u64) {
-        (self.start, self.end)
-    }
-
     /// Events recorded so far.
     pub fn len(&self) -> usize {
         self.events.len()
@@ -126,105 +121,83 @@ impl ChromeTracer {
     /// Renders this tracer's events as a complete Chrome trace document
     /// `{"traceEvents":[...]}`.
     pub fn render(&self) -> String {
-        let mut out = String::from("{\"traceEvents\":[");
-        let mut first = true;
-        self.render_events_into(&mut out, &mut first, None);
-        out.push_str("]}");
-        out
+        document(self.event_objects(None))
     }
 
-    /// Appends this tracer's events (comma-separated JSON objects, no
-    /// enclosing array) to `out`. `first` tracks whether a comma is
-    /// needed; `process_name`, when given, emits a process-name metadata
+    /// This tracer's events, each rendered as one compact JSON object;
+    /// `process_name`, when given, leads with a process-name metadata
     /// event so merged multi-workload traces are labelled.
-    pub fn render_events_into(
-        &self,
-        out: &mut String,
-        first: &mut bool,
-        process_name: Option<&str>,
-    ) {
-        let mut emit = |out: &mut String, s: &str| {
-            if !*first {
-                out.push(',');
-            }
-            *first = false;
-            out.push_str(s);
+    fn event_objects(&self, process_name: Option<&str>) -> Vec<String> {
+        let n = |v: u64| Json::Num(v as f64);
+        let s = |v: &str| Json::str(v);
+        // `head` fields, then the process (and, on a timeline row, the
+        // thread), then the one `args` entry.
+        let event = |mut head: Vec<(&'static str, Json)>, tid: Option<u64>, arg| {
+            head.push(("pid", n(self.pid as u64)));
+            head.extend(tid.map(|tid| ("tid", n(tid))));
+            head.push(("args", Json::obj([arg])));
+            Json::obj(head).render_compact()
         };
+        let mut out = Vec::with_capacity(self.events.len() + 1);
         if let Some(name) = process_name {
-            emit(
-                out,
-                &format!(
-                    "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\"tid\":0,\
-                     \"args\":{{\"name\":\"{}\"}}}}",
-                    self.pid,
-                    escape(name)
-                ),
-            );
+            let head = vec![("name", s("process_name")), ("ph", s("M"))];
+            out.push(event(head, Some(0), ("name", s(name))));
         }
-        for ev in &self.events {
-            match *ev {
-                Event::Span {
-                    seq,
-                    pc,
-                    start,
-                    dur,
-                    is_branch,
-                    is_load,
-                } => {
-                    let kind = if is_branch {
-                        "branch"
-                    } else if is_load {
-                        "mem"
-                    } else {
-                        "alu"
-                    };
-                    emit(
-                        out,
-                        &format!(
-                            "{{\"name\":\"0x{pc:x}\",\"cat\":\"{kind}\",\"ph\":\"X\",\
-                             \"ts\":{start},\"dur\":{dur},\"pid\":{},\"tid\":{},\
-                             \"args\":{{\"seq\":{seq}}}}}",
-                            self.pid,
-                            1 + seq % SPAN_ROWS
-                        ),
-                    );
-                }
-                Event::Mispredict { cycle, seq, pc } => emit(
-                    out,
-                    &format!(
-                        "{{\"name\":\"mispredict 0x{pc:x}\",\"cat\":\"branch\",\"ph\":\"i\",\
-                         \"s\":\"p\",\"ts\":{cycle},\"pid\":{},\"tid\":0,\
-                         \"args\":{{\"seq\":{seq}}}}}",
-                        self.pid
-                    ),
-                ),
-                Event::Recovery { cycle, blocked } => emit(
-                    out,
-                    &format!(
-                        "{{\"name\":\"recovery\",\"cat\":\"branch\",\"ph\":\"i\",\
-                         \"s\":\"p\",\"ts\":{cycle},\"pid\":{},\"tid\":0,\
-                         \"args\":{{\"blocked_cycles\":{blocked}}}}}",
-                        self.pid
-                    ),
-                ),
-                Event::Counter { cycle, rob } => emit(
-                    out,
-                    &format!(
-                        "{{\"name\":\"rob\",\"ph\":\"C\",\"ts\":{cycle},\"pid\":{},\
-                         \"args\":{{\"occupancy\":{rob}}}}}",
-                        self.pid
-                    ),
-                ),
-                Event::Issue { cycle, issued } => emit(
-                    out,
-                    &format!(
-                        "{{\"name\":\"issue\",\"ph\":\"C\",\"ts\":{cycle},\"pid\":{},\
-                         \"args\":{{\"issued\":{issued}}}}}",
-                        self.pid
-                    ),
-                ),
+        out.extend(self.events.iter().map(|ev| match *ev {
+            Event::Span {
+                seq,
+                pc,
+                start,
+                dur,
+                is_branch,
+                is_load,
+            } => {
+                let kind = if is_branch {
+                    "branch"
+                } else if is_load {
+                    "mem"
+                } else {
+                    "alu"
+                };
+                let head = vec![
+                    ("name", s(&format!("0x{pc:x}"))),
+                    ("cat", s(kind)),
+                    ("ph", s("X")),
+                    ("ts", n(start)),
+                    ("dur", n(dur)),
+                ];
+                event(head, Some(1 + seq % SPAN_ROWS), ("seq", n(seq)))
             }
-        }
+            Event::Mispredict { cycle, seq, pc } => {
+                let head = vec![
+                    ("name", s(&format!("mispredict 0x{pc:x}"))),
+                    ("cat", s("branch")),
+                    ("ph", s("i")),
+                    ("s", s("p")),
+                    ("ts", n(cycle)),
+                ];
+                event(head, Some(0), ("seq", n(seq)))
+            }
+            Event::Recovery { cycle, blocked } => {
+                let head = vec![
+                    ("name", s("recovery")),
+                    ("cat", s("branch")),
+                    ("ph", s("i")),
+                    ("s", s("p")),
+                    ("ts", n(cycle)),
+                ];
+                event(head, Some(0), ("blocked_cycles", n(blocked)))
+            }
+            Event::Counter { cycle, rob } => {
+                let head = vec![("name", s("rob")), ("ph", s("C")), ("ts", n(cycle))];
+                event(head, None, ("occupancy", n(rob as u64)))
+            }
+            Event::Issue { cycle, issued } => {
+                let head = vec![("name", s("issue")), ("ph", s("C")), ("ts", n(cycle))];
+                event(head, None, ("issued", n(issued as u64)))
+            }
+        }));
+        out
     }
 
     /// Merges several tracers (e.g. one per workload) into one Chrome
@@ -232,27 +205,18 @@ impl ChromeTracer {
     pub fn render_merged<'a>(
         tracers: impl IntoIterator<Item = (&'a str, &'a ChromeTracer)>,
     ) -> String {
-        let mut out = String::from("{\"traceEvents\":[");
-        let mut first = true;
-        for (name, t) in tracers {
-            t.render_events_into(&mut out, &mut first, Some(name));
-        }
-        out.push_str("]}");
-        out
+        document(
+            tracers
+                .into_iter()
+                .flat_map(|(name, t)| t.event_objects(Some(name)))
+                .collect(),
+        )
     }
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+/// The Chrome trace document around already-rendered event objects.
+fn document(events: Vec<String>) -> String {
+    format!("{{\"traceEvents\":[{}]}}", events.join(","))
 }
 
 impl Probe for ChromeTracer {
@@ -375,11 +339,12 @@ mod tests {
         let mut b = ChromeTracer::new(0, 10);
         b.pid = 2;
         b.on_cycle(2, 3);
-        let json = ChromeTracer::render_merged([("loop\"y", &a), ("gap", &b)]);
+        let json = ChromeTracer::render_merged([("loop\"y\\z", &a), ("gap", &b)]);
         assert!(json.contains("\"process_name\""), "{json}");
-        assert!(json.contains("loop\\\"y"), "{json}");
+        assert!(json.contains(r#""args":{"name":"loop\"y\\z"}"#), "{json}");
         assert!(json.contains("\"pid\":2"), "{json}");
         // Valid JSON shape: balanced outer object.
         assert!(json.starts_with("{\"traceEvents\":[") && json.ends_with("]}"));
+        Json::parse(&json).expect("the merged trace parses");
     }
 }

@@ -58,7 +58,7 @@ pub use branch_unit::{BranchDecision, BranchUnit, Level2};
 pub use cache::Cache;
 pub use exec::execute;
 pub use hierarchy::Hierarchy;
-pub use machine::{Machine, MachineStats, PcProfile};
+pub use machine::{Machine, MachineStats};
 pub use oracle::{LoadBackOracle, PerfectOracle, ReadyOracle};
 pub use params::{ArviTuning, CacheConfig, Depth, PredictorConfig, SimParams, TlbConfig};
 pub use rename::RenameState;

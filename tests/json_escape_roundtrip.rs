@@ -2,8 +2,8 @@
 //! through its own parser for arbitrary Unicode content.
 //!
 //! The journal and report paths put workload names, scenario specs and
-//! error messages — arbitrary text — into JSON strings, and the
-//! resilient sweep loads them back (`SweepJournal::load`). A character
+//! error messages — arbitrary text — into JSON strings, and a resumed
+//! sweep reads them back (`Journal::open`). A character
 //! the writer escapes wrongly (or the parser unescapes wrongly) would
 //! silently corrupt resumed results, so `Json::Str(s)` must survive
 //! `render_compact` → `parse` for *any* `s`, not just the tame names in
