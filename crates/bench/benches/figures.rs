@@ -20,7 +20,8 @@ fn main() {
         println!("-- {title} --\n{}", table.to_text());
     }
 
-    let (fig5a, fig5b, _) = fig5_tables(&run).expect("every cell completes");
+    let sweep = run.sweep(&Depth::all(), &PredictorConfig::all());
+    let (fig5a, fig5b, _) = fig5_tables(&run, &sweep).expect("every cell completes");
     println!(
         "-- Figure 5(a): load-branch fraction --\n{}",
         fig5a.to_text()
@@ -31,7 +32,7 @@ fn main() {
     );
 
     for depth in Depth::all() {
-        let (data, _) = Fig6Data::collect(&run, depth).expect("every cell completes");
+        let (data, _) = Fig6Data::collect(&run, &sweep, depth).expect("every cell completes");
         println!(
             "-- Figure 6 accuracy, {depth} --\n{}",
             data.accuracy_table().to_text()

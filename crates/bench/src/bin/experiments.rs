@@ -10,33 +10,35 @@
 //!                     [--obs-grid FILE] [--trace-cycles START:END] [--top-sites N]
 //!                     [--list-scenarios] [--list-benchmarks]`
 //!
-//! `--obs-grid FILE` re-runs the full evaluation grid (workloads × all
-//! depths × all configurations) with the counter and site probes
-//! attached and writes the merged per-`(workload, config)` rollup —
-//! the input for `obs_report`'s attribution diff. `--events-out` /
-//! `--metrics-out` stream structured sweep events (JSONL) and a
-//! Prometheus-style metrics snapshot from every sweep.
+//! The evaluation grid (workloads × all depths × all configurations) is
+//! swept once; Figure 5 and Figure 6 at each depth are views over its
+//! cells. `--obs-grid FILE` probes the sweep's own cells with the counter
+//! and site probes and writes their merged per-`(workload, config)`
+//! rollup — the input for `obs_report`'s attribution diff; no cell is
+//! simulated twice, and it does not combine with `--sample` (exit 2).
+//! `--events-out` / `--metrics-out` stream structured sweep events
+//! (JSONL) and a Prometheus-style metrics snapshot from the sweep.
 //!
 //! Each workload is functionally emulated exactly once (per run — or
-//! once ever with `--trace-dir`), then every figure's grid replays the
-//! shared recording. Runs the benchmark suite by default; any
-//! `--scenario`/`--scenario-file` flag switches the grids to the named
+//! once ever with `--trace-dir`), then every cell replays the shared
+//! recording. Runs the benchmark suite by default; any
+//! `--scenario`/`--scenario-file` flag switches the grid to the named
 //! synthetic scenarios instead.
 //!
 //! Every run is fault-isolated: cell failures are reported at the end
-//! (exit code 3, once every grid has finished) instead of aborting the
-//! run, `--journal` keeps completed cells as they finish, and `--resume`
-//! completes an interrupted run from its journal. An unknown flag or a
-//! malformed value exits 2.
+//! (exit code 3, after every table whose cells completed) instead of
+//! aborting the run, `--journal` keeps completed cells as they finish,
+//! and `--resume` completes an interrupted run from its journal. An
+//! unknown flag or a malformed value exits 2.
 //!
 //! `--sample K:WARMUP:DETAIL` (or `stratified:K:WARMUP:DETAIL`) switches
-//! every grid to SMARTS-style interval sampling over the shared
+//! the sweep to SMARTS-style interval sampling over the shared
 //! recordings (per-unit parallelism, journaled units, per-cell
 //! 95%-confidence-interval tables) — see the `fig5` docs.
 
 use arvi_bench::{
-    fig5_tables, grid, handle_list_flags, maybe_obs_grid, maybe_obs_pass, paper_tables, Fig6Data,
-    Run, Workload,
+    collect_results, fig5_tables, handle_list_flags, maybe_obs_grid, maybe_obs_pass, paper_tables,
+    Fig6Data, Run, Workload,
 };
 use arvi_sim::{Depth, PredictorConfig};
 
@@ -60,48 +62,40 @@ fn main() {
         }
     }
 
-    // A failed grid reports every failed cell and exits 3 — after all
-    // the other grids have run (and journaled), so one bad cell costs
-    // one re-run with --resume, not the whole evaluation.
-    let mut incomplete = Vec::new();
+    // One sweep of the whole grid; every figure below is a view over it.
+    // A failed cell drops only the tables that need it and exits 3 at
+    // the end — every other cell has run (and journaled), so one bad
+    // cell costs one re-run with --resume, not the whole evaluation.
+    let sweep = run.sweep(&Depth::all(), &PredictorConfig::all());
 
-    match fig5_tables(&run) {
-        Ok((fig5a, fig5b, ci)) => {
-            if let (Some(plan), Some(ci)) = (&run.plan, ci) {
-                println!(
-                    "== Figure 5 sampled estimates (plan {plan}): 95% confidence intervals ==\n{}",
-                    ci.to_text()
-                );
-            }
+    if let Ok((fig5a, fig5b, ci)) = fig5_tables(&run, &sweep) {
+        if let (Some(plan), Some(ci)) = (&run.plan, ci) {
             println!(
-                "== Figure 5(a): fraction of load branches ==\n{}",
-                fig5a.to_text()
-            );
-            println!(
-                "== Figure 5(b): accuracy, calculated vs load branches (20-stage, ARVI current value) ==\n{}",
-                fig5b.to_text()
+                "== Figure 5 sampled estimates (plan {plan}): 95% confidence intervals ==\n{}",
+                ci.to_text()
             );
         }
-        Err(e) => incomplete.push(e),
+        println!(
+            "== Figure 5(a): fraction of load branches ==\n{}",
+            fig5a.to_text()
+        );
+        println!(
+            "== Figure 5(b): accuracy, calculated vs load branches (20-stage, ARVI current value) ==\n{}",
+            fig5b.to_text()
+        );
     }
 
     let mut headlines = Vec::new();
     for depth in Depth::all() {
-        let data = match Fig6Data::collect(&run, depth) {
-            Ok((data, ci)) => {
-                if let (Some(plan), Some(ci)) = (&run.plan, ci) {
-                    println!(
-                        "== Figure 6 sampled estimates, {depth} pipeline (plan {plan}): 95% confidence intervals ==\n{}",
-                        ci.to_text()
-                    );
-                }
-                data
-            }
-            Err(e) => {
-                incomplete.push(e);
-                continue;
-            }
+        let Ok((data, ci)) = Fig6Data::collect(&run, &sweep, depth) else {
+            continue;
         };
+        if let (Some(plan), Some(ci)) = (&run.plan, ci) {
+            println!(
+                "== Figure 6 sampled estimates, {depth} pipeline (plan {plan}): 95% confidence intervals ==\n{}",
+                ci.to_text()
+            );
+        }
         println!(
             "== Figure 6: prediction accuracy, {depth} pipeline ==\n{}",
             data.accuracy_table().to_text()
@@ -133,16 +127,11 @@ fn main() {
         run.spec,
         Some(&run.traces),
     );
-    // The full evaluation grid, probed and merged (`--obs-grid`).
-    maybe_obs_grid(
-        &run,
-        &grid(&run.workloads, &Depth::all(), &PredictorConfig::all()),
-    );
+    // The evaluation grid's probed cells, merged (`--obs-grid`).
+    maybe_obs_grid(&run, &sweep);
 
-    if !incomplete.is_empty() {
-        for e in &incomplete {
-            eprintln!("{e}");
-        }
+    if let Err(incomplete) = collect_results(&sweep.points, sweep.outcomes) {
+        eprintln!("{incomplete}");
         std::process::exit(3);
     }
 }

@@ -11,9 +11,10 @@
 //!              [--obs-grid FILE] [--trace-cycles START:END] [--top-sites N]
 //!              [--list-scenarios] [--list-benchmarks]`
 //!
-//! `--obs-grid FILE` re-runs the figure's grid (workloads × all pipeline
-//! depths, ARVI current value) with the counter and site probes attached
-//! and writes the merged per-`(workload, config)` rollup.
+//! `--obs-grid FILE` probes the sweep's own cells (workloads × all
+//! pipeline depths, ARVI current value) with the counter and site probes
+//! and writes their merged per-`(workload, config)` rollup; no cell is
+//! simulated twice. It does not combine with `--sample` (exit 2).
 //!
 //! Runs the benchmark suite by default; any `--scenario`/
 //! `--scenario-file` flag switches the grid to the named synthetic
@@ -30,7 +31,7 @@
 //! 95% confidence intervals. Composes with the fault-tolerance flags
 //! (units are journaled and resumed individually).
 
-use arvi_bench::{fig5_tables, grid, handle_list_flags, maybe_obs_grid, maybe_obs_pass, Run};
+use arvi_bench::{fig5_tables, handle_list_flags, maybe_obs_grid, maybe_obs_pass, Run};
 use arvi_sim::{Depth, PredictorConfig};
 
 fn main() {
@@ -42,7 +43,8 @@ fn main() {
         eprintln!("error: {e}");
         std::process::exit(2);
     });
-    let (fig5a, fig5b, ci) = fig5_tables(&run).unwrap_or_else(|incomplete| {
+    let sweep = run.sweep(&Depth::all(), &[PredictorConfig::ArviCurrent]);
+    let (fig5a, fig5b, ci) = fig5_tables(&run, &sweep).unwrap_or_else(|incomplete| {
         eprintln!("{incomplete}");
         std::process::exit(3);
     });
@@ -69,13 +71,6 @@ fn main() {
         run.spec,
         Some(&run.traces),
     );
-    // The figure's depth sweep, probed and merged (`--obs-grid`).
-    maybe_obs_grid(
-        &run,
-        &grid(
-            &run.workloads,
-            &Depth::all(),
-            &[PredictorConfig::ArviCurrent],
-        ),
-    );
+    // The depth sweep's probed cells, merged (`--obs-grid`).
+    maybe_obs_grid(&run, &sweep);
 }

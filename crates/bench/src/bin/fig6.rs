@@ -10,11 +10,11 @@
 //!              [--obs-grid FILE] [--trace-cycles START:END] [--top-sites N]
 //!              [--list-scenarios] [--list-benchmarks]`
 //!
-//! `--obs-grid FILE` re-runs the figure's whole grid (workloads × all
-//! four configurations at the chosen depth) with the counter and site
-//! probes attached and writes the merged per-`(workload, config)`
-//! rollup — the input for `obs_report`'s ARVI-vs-baseline attribution
-//! diff.
+//! `--obs-grid FILE` probes the sweep's own cells (workloads × all four
+//! configurations at the chosen depth) with the counter and site probes
+//! and writes their merged per-`(workload, config)` rollup — the input
+//! for `obs_report`'s ARVI-vs-baseline attribution diff; no cell is
+//! simulated twice. It does not combine with `--sample` (exit 2).
 //!
 //! Runs the benchmark suite by default; any `--scenario`/
 //! `--scenario-file` flag switches the grid to the named synthetic
@@ -29,7 +29,7 @@
 //! recording (per-unit parallelism, journaled units, and an extra
 //! per-cell 95%-confidence-interval table) — see the `fig5` docs.
 
-use arvi_bench::{grid, handle_list_flags, maybe_obs_grid, maybe_obs_pass, Fig6Data, Run};
+use arvi_bench::{handle_list_flags, maybe_obs_grid, maybe_obs_pass, Fig6Data, Run};
 use arvi_sim::{Depth, PredictorConfig};
 
 fn main() {
@@ -46,7 +46,8 @@ fn main() {
         Some("60") => Depth::D60,
         _ => Depth::D20,
     };
-    let (data, ci) = Fig6Data::collect(&run, depth).unwrap_or_else(|incomplete| {
+    let sweep = run.sweep(&[depth], &PredictorConfig::all());
+    let (data, ci) = Fig6Data::collect(&run, &sweep, depth).unwrap_or_else(|incomplete| {
         eprintln!("{incomplete}");
         std::process::exit(3);
     });
@@ -81,9 +82,6 @@ fn main() {
         run.spec,
         Some(&run.traces),
     );
-    // The figure's full grid, probed and merged (`--obs-grid`).
-    maybe_obs_grid(
-        &run,
-        &grid(&run.workloads, &[depth], &PredictorConfig::all()),
-    );
+    // The figure's probed cells, merged (`--obs-grid`).
+    maybe_obs_grid(&run, &sweep);
 }

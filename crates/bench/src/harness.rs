@@ -1,21 +1,21 @@
 //! Experiment driver: one function per paper artifact.
 //!
-//! The Figure-5/6 grids run through one entry point each
-//! ([`fig5_tables`], [`Fig6Data::collect`]) over a parsed [`Run`]: the
-//! fault-isolated grid runner, sampled when the run has a plan. Results
-//! are assembled in deterministic grid order, so parallel output is
-//! identical to a sequential run.
+//! A figure binary sweeps its grid once ([`Run::sweep`]: the
+//! fault-isolated grid runner, sampled when the run has a plan, probed
+//! under `--obs-grid`). Figure 5 ([`fig5_tables`]) and each Figure 6
+//! depth ([`Fig6Data::collect`]) are views over that one sweep: each
+//! looks up its own cells by point, in its own order, so a view over the
+//! full evaluation grid renders exactly as it does over its own grid.
 
 use std::sync::Arc;
 
-use arvi_sim::{
-    intern_name, simulate, simulate_source, Depth, PredictorConfig, SimParams, SimResult,
-};
+use arvi_sim::{intern_name, simulate_source, Depth, PredictorConfig, SimParams, SimResult};
 use arvi_stats::{amean, Table};
 use arvi_trace::{Trace, TraceReplayer};
 use arvi_workloads::Benchmark;
 
 use crate::resilience::SweepIncomplete;
+use crate::sampling::{sample_ci_table, SampledSweep};
 use crate::sweep::grid;
 use crate::workload::Workload;
 use crate::Run;
@@ -53,25 +53,8 @@ impl Spec {
     }
 }
 
-/// Runs one (workload, depth, configuration) cell with live emulation.
-pub fn run_one(
-    workload: &Workload,
-    depth: Depth,
-    config: PredictorConfig,
-    spec: Spec,
-) -> SimResult {
-    use arvi_workloads::WorkloadSource;
-    simulate(
-        workload.program(spec.seed),
-        SimParams::for_depth(depth),
-        config,
-        spec.warmup,
-        spec.measure,
-    )
-}
-
 /// Runs one cell by replaying a shared recording instead of emulating;
-/// bit-identical to [`run_one`] on the trace's workload (the timing
+/// bit-identical to live emulation of the trace's workload (the timing
 /// model sees the same committed stream either way).
 ///
 /// # Panics
@@ -105,16 +88,24 @@ pub fn run_one_traced(
     )
 }
 
-/// Figure 5 over `run`'s workloads: (a) the fraction of load branches
-/// per workload at each pipeline depth, and (b) prediction accuracy of
-/// calculated versus load branches (20-stage, ARVI current value).
-/// Returns the two tables plus, when `run` samples, the per-cell
-/// confidence-interval table; any failed cell yields a
-/// [`SweepIncomplete`] naming it.
-pub fn fig5_tables(run: &Run) -> Result<(Table, Table, Option<Table>), SweepIncomplete> {
+/// Figure 5 over `run`'s workloads, read from `sweep` (which must hold
+/// every workload at every depth under ARVI current value): (a) the
+/// fraction of load branches per workload at each pipeline depth, and
+/// (b) prediction accuracy of calculated versus load branches (20-stage,
+/// ARVI current value). Returns the two tables plus, when `run` samples,
+/// the confidence-interval table over the figure's cells; a failed cell
+/// of the figure yields a [`SweepIncomplete`] naming it.
+///
+/// # Panics
+///
+/// Panics if `sweep` lacks one of the figure's cells.
+pub fn fig5_tables(
+    run: &Run,
+    sweep: &SampledSweep,
+) -> Result<(Table, Table, Option<Table>), SweepIncomplete> {
     let depths = Depth::all();
     let points = grid(&run.workloads, &depths, &[PredictorConfig::ArviCurrent]);
-    let (results, ci) = run.sweep(&points)?;
+    let results = sweep.results(&points)?;
     let mut fig5a = Table::new(vec![
         "workload".into(),
         "20-cycle".into(),
@@ -141,6 +132,7 @@ pub fn fig5_tables(run: &Run) -> Result<(Table, Table, Option<Table>), SweepInco
             format!("{:.4}", d20.window.load_class.rate()),
         ]);
     }
+    let ci = run.plan.is_some().then(|| sample_ci_table(&points, sweep));
     Ok((fig5a, fig5b, ci))
 }
 
@@ -157,22 +149,31 @@ pub struct Fig6Data {
 }
 
 impl Fig6Data {
-    /// Runs the Figure 6 grid at `depth` (`run`'s workloads x every
-    /// configuration). Returns the dataset plus, when `run` samples, the
-    /// per-cell confidence-interval table; any failed cell yields a
-    /// [`SweepIncomplete`] naming it.
-    pub fn collect(run: &Run, depth: Depth) -> Result<(Fig6Data, Option<Table>), SweepIncomplete> {
+    /// The Figure 6 dataset at `depth` (`run`'s workloads x every
+    /// configuration), read from `sweep`. Returns the dataset plus, when
+    /// `run` samples, the confidence-interval table over its cells; a
+    /// failed cell of the figure yields a [`SweepIncomplete`] naming it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sweep` lacks one of the figure's cells.
+    pub fn collect(
+        run: &Run,
+        sweep: &SampledSweep,
+        depth: Depth,
+    ) -> Result<(Fig6Data, Option<Table>), SweepIncomplete> {
         let configs = PredictorConfig::all();
         let points = grid(&run.workloads, &[depth], &configs);
-        let (flat, ci) = run.sweep(&points)?;
+        let flat = sweep.results(&points)?;
         let data = Fig6Data {
             depth,
             workloads: run.workloads.clone(),
             results: flat
                 .chunks(configs.len())
-                .map(<[SimResult]>::to_vec)
+                .map(|row| row.iter().copied().cloned().collect())
                 .collect(),
         };
+        let ci = run.plan.is_some().then(|| sample_ci_table(&points, sweep));
         Ok((data, ci))
     }
 
@@ -407,17 +408,24 @@ mod tests {
     }
 
     #[test]
-    fn run_one_produces_window() {
+    fn live_cell_produces_window() {
         let spec = Spec {
             warmup: 5_000,
             measure: 20_000,
             seed: 1,
         };
-        let r = run_one(
-            &Benchmark::Vortex.into(),
-            Depth::D20,
-            PredictorConfig::TwoLevelGskew,
-            spec,
+        let point = crate::SweepPoint {
+            workload: Benchmark::Vortex.into(),
+            depth: Depth::D20,
+            config: PredictorConfig::TwoLevelGskew,
+        };
+        let (r, degradation, _) =
+            crate::resilience::simulate_cell(&point, spec, None, false, arvi_obs::NullProbe)
+                .unwrap();
+        assert_eq!(
+            degradation,
+            crate::Degradation::None,
+            "no trace set: live is normal"
         );
         // Commit width allows up to 3 instructions of slack at each
         // window boundary.

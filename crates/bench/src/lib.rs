@@ -35,11 +35,12 @@
 //!
 //! The figure binaries (`fig5`, `fig6`, `experiments`) parse their
 //! command line once into a [`Run`] against one flag table (an unknown
-//! flag or a malformed value exits 2), and each figure has one entry
-//! point over it ([`fig5_tables`], [`Fig6Data::collect`]). Every run is
+//! flag or a malformed value exits 2) and sweep their grid once
+//! ([`Run::sweep`]); each figure is a view over that sweep
+//! ([`fig5_tables`], [`Fig6Data::collect`]). Every run is
 //! fault-isolated ([`resilience`]): a failed cell is reported and the
-//! binary exits 3 once its grids have finished, and `--sample` only
-//! changes the kind of job the grid runs.
+//! binary exits 3 once its tables are printed, and `--sample` and
+//! `--obs-grid` only change the kind of job the grid runs.
 //!
 //! Grids are record-once / replay-many (PR 2): each distinct
 //! `(benchmark, seed, window)` workload is emulated exactly once into a
@@ -59,6 +60,8 @@
 //! `--trace-cycles START:END`, `--top-sites N`): when present, an extra
 //! probed pass runs after the tables and emits counter histograms,
 //! per-branch-site attribution and/or a Chrome trace — see [`obs`].
+//! `--obs-grid FILE` instead probes the sweep's own cells and writes
+//! their merged rollup — see [`obs_grid`].
 //!
 //! Criterion microbenchmarks (under `benches/`) measure the hardware
 //! structures themselves (DDT insert/chain-read, RSE extraction, BVIT
@@ -84,7 +87,7 @@ pub use arvi_obs::codec::{counters_from_json, counters_to_json, sites_from_json,
 pub use branch_stream::{conditional_branches, run_delayed, run_delayed_scalar, StreamRun};
 pub use events::{EventLog, SweepTelemetry};
 pub use guard::{evaluate_guardrail, trend_flags, GuardOutcome, MetricRow, MetricStatus};
-pub use harness::{fig5_tables, paper_tables, run_one, run_one_traced, Fig6Data, Spec};
+pub use harness::{fig5_tables, paper_tables, run_one_traced, Fig6Data, Spec};
 pub use history::{bench_history, load_bench_history, BenchFile, HistoryReport, MetricTrend};
 pub use obs::{maybe_obs_pass, obs_from_args, run_obs_pass, ObsConfig, ObsReport, WorkloadObs};
 pub use obs_grid::{
@@ -109,8 +112,7 @@ pub use workload::Workload;
 use std::path::PathBuf;
 
 use arvi_sampling::SamplePlan;
-use arvi_sim::SimResult;
-use arvi_stats::Table;
+use arvi_sim::{Depth, PredictorConfig};
 use arvi_synth::ScenarioSpec;
 use arvi_workloads::Benchmark;
 
@@ -138,11 +140,11 @@ const FLAGS: &[(&str, bool)] = &[
 ];
 
 /// One invocation of a figure binary (`fig5`, `fig6`, `experiments`):
-/// everything its grids run under, parsed once by [`Run::from_args`],
+/// everything its sweep runs under, parsed once by [`Run::from_args`],
 /// with every workload already recorded.
 #[derive(Debug)]
 pub struct Run {
-    /// The workloads every grid sweeps: the benchmark suite, or the
+    /// The workloads the sweep covers: the benchmark suite, or the
     /// synthetic scenarios a scenario flag selects.
     pub workloads: Vec<Workload>,
     /// The instruction window (`--quick` selects [`Spec::quick`]).
@@ -151,7 +153,7 @@ pub struct Run {
     pub threads: usize,
     /// One shared recording per workload (`--trace-dir` persists them).
     pub traces: TraceSet,
-    /// The fault-tolerance policy every grid runs under.
+    /// The fault-tolerance policy the sweep runs under.
     pub res: Resilience,
     /// The interval-sampling plan (`--sample`), if any.
     pub plan: Option<SamplePlan>,
@@ -168,8 +170,9 @@ impl Run {
     /// Parses a figure binary's command line against the one flag table
     /// (`positionals` lists the positional values the binary accepts),
     /// then records every workload's trace under the parsed policy.
-    /// Errors name the malformed argument; the binaries print them and
-    /// exit 2.
+    /// Errors name the malformed argument (or the conflicting pair:
+    /// `--obs-grid` probes whole cells, so it does not combine with
+    /// `--sample`); the binaries print them and exit 2.
     pub fn from_args(args: &[String], positionals: &[&str]) -> Result<Run, String> {
         let positional = positional_from_args(args, positionals)?;
         let spec = if args.iter().any(|a| a == "--quick") {
@@ -182,6 +185,11 @@ impl Run {
         let workloads = workloads_from_args(args)?;
         let plan = sample_plan_from_args(args)?;
         let obs = obs_from_args(args)?;
+        if plan.is_some() && obs.as_ref().is_some_and(|o| o.grid.is_some()) {
+            return Err(
+                "--obs-grid probes whole cells; it cannot be combined with --sample".into(),
+            );
+        }
         let res = resilience_from_args(args)?;
         let traces =
             TraceSet::record_resilient(&workloads, spec, threads, trace_dir.as_deref(), Some(&res));
@@ -198,18 +206,21 @@ impl Run {
         })
     }
 
-    /// Runs `points` through the grid runner under this run's policy
-    /// (sampled when it has a plan) and reports the degradation and
-    /// timing summaries on stderr. Returns the results in point order
-    /// plus, under sampling, the per-cell confidence-interval table.
-    pub(crate) fn sweep(
-        &self,
-        points: &[SweepPoint],
-    ) -> Result<(Vec<SimResult>, Option<Table>), SweepIncomplete> {
+    /// Sweeps `grid(&self.workloads, depths, configs)` once through the
+    /// grid runner under this run's policy — sampled when the run has a
+    /// plan, probed under `--obs-grid` — and reports the degradation and
+    /// timing summaries on stderr. The figures are views over the result
+    /// ([`fig5_tables`], [`Fig6Data::collect`], [`maybe_obs_grid`]).
+    pub fn sweep(&self, depths: &[Depth], configs: &[PredictorConfig]) -> SampledSweep {
+        let jobs = match (&self.plan, &self.obs) {
+            (Some(plan), _) => resilience::Jobs::Sampled(plan),
+            (None, Some(ObsConfig { grid: Some(_), .. })) => resilience::Jobs::Probed,
+            (None, _) => resilience::Jobs::Cells,
+        };
         let sweep = resilience::run_grid(
-            points,
+            &grid(&self.workloads, depths, configs),
             self.spec,
-            self.plan.as_ref(),
+            jobs,
             self.threads,
             self.progress,
             Some(&self.traces),
@@ -222,8 +233,7 @@ impl Run {
         if let Some(timing) = resilience::timing_summary(&sweep.outcomes, record) {
             eprintln!("{timing}");
         }
-        let ci = self.plan.is_some().then(|| sample_ci_table(points, &sweep));
-        Ok((collect_results(points, sweep.outcomes)?, ci))
+        sweep
     }
 }
 
@@ -631,6 +641,12 @@ mod tests {
         assert!(err.contains("30"), "{err}");
         let err = Run::from_args(&args(&["--quick", "--threads", "abc"]), &[]).unwrap_err();
         assert!(err.contains("abc"), "{err}");
+        let err = Run::from_args(&args(&["--sample", "2:10:5", "--obs-grid", "g.json"]), &[])
+            .unwrap_err();
+        assert!(
+            err.contains("--obs-grid") && err.contains("--sample"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -644,7 +660,8 @@ mod tests {
         let render = |argv: &[String]| {
             let mut run = Run::from_args(argv, &[]).unwrap();
             run.progress = false;
-            let (fig5a, fig5b, ci) = fig5_tables(&run).unwrap();
+            let sweep = run.sweep(&Depth::all(), &[PredictorConfig::ArviCurrent]);
+            let (fig5a, fig5b, ci) = fig5_tables(&run, &sweep).unwrap();
             assert!(ci.is_none(), "no plan, no CI table");
             fig5a.to_text() + &fig5b.to_text()
         };
@@ -652,6 +669,80 @@ mod tests {
         let text = std::fs::read_to_string(&journal).unwrap();
         assert!(text.starts_with("# arvi sweep journal v1"), "{text}");
         assert_eq!(text.lines().count(), 1 + 3, "header + one line per depth");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A two-scenario `--quick` run, optionally sampled and with extra
+    /// flags.
+    fn two_scenario_run(extra: &[&str]) -> Run {
+        let mut argv = args(&[
+            "--quick",
+            "--threads",
+            "2",
+            "--scenario",
+            "datadep-deep",
+            "--scenario",
+            "bias-always",
+        ]);
+        argv.extend(args(extra));
+        let mut run = Run::from_args(&argv, &[]).unwrap();
+        run.progress = false;
+        run
+    }
+
+    #[test]
+    fn figure_views_over_the_full_sweep_match_their_own_grids() {
+        for extra in [&[][..], &["--sample", "2:10000:2000"]] {
+            let run = two_scenario_run(extra);
+            let render_ci = |ci: Option<arvi_stats::Table>| {
+                assert_eq!(ci.is_some(), run.plan.is_some(), "a CI table iff sampled");
+                ci.map(|t| t.to_text()).unwrap_or_default()
+            };
+            let fig5 = |sweep: &SampledSweep| {
+                let (a, b, ci) = fig5_tables(&run, sweep).unwrap();
+                a.to_text() + &b.to_text() + &render_ci(ci)
+            };
+            let fig6 = |sweep: &SampledSweep, depth| {
+                let (data, ci) = Fig6Data::collect(&run, sweep, depth).unwrap();
+                data.accuracy_table().to_text()
+                    + &data.normalized_ipc_table().to_text()
+                    + &render_ci(ci)
+            };
+            let full = run.sweep(&Depth::all(), &PredictorConfig::all());
+            let own = run.sweep(&Depth::all(), &[PredictorConfig::ArviCurrent]);
+            assert_eq!(fig5(&full), fig5(&own), "{extra:?}");
+            for depth in Depth::all() {
+                let own = run.sweep(&[depth], &PredictorConfig::all());
+                assert_eq!(fig6(&full, depth), fig6(&own, depth), "{extra:?} {depth}");
+            }
+        }
+    }
+
+    #[test]
+    fn obs_grid_run_simulates_each_cell_once() {
+        let dir = std::env::temp_dir().join(format!("arvi-onepass-test-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let (events, rollup) = (dir.join("events.jsonl"), dir.join("grid.json"));
+        let run = two_scenario_run(&[
+            "--obs-grid",
+            rollup.to_str().unwrap(),
+            "--events-out",
+            events.to_str().unwrap(),
+        ]);
+        let sweep = run.sweep(&[Depth::D20], &PredictorConfig::all());
+        assert!(sweep.outcomes.iter().all(|o| o.success().is_some()));
+        maybe_obs_grid(&run, &sweep);
+        let text = std::fs::read_to_string(&events).unwrap();
+        let count = |name: &str| {
+            text.lines()
+                .filter(|l| Json::parse(l).unwrap().get("event") == Some(&Json::str(name)))
+                .count()
+        };
+        assert_eq!(count("sweep_start"), 1);
+        assert_eq!(count("cell_end"), sweep.points.len());
+        assert_eq!(count("obs_grid_end"), 1);
+        let grid = Json::parse(&std::fs::read_to_string(&rollup).unwrap()).unwrap();
+        assert_eq!(grid.num("completed"), Some(sweep.points.len() as f64));
         std::fs::remove_dir_all(&dir).ok();
     }
 

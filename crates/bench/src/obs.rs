@@ -1,8 +1,10 @@
 //! The experiment binaries' observability pass: `--probe`, `--obs-out`,
 //! `--trace-cycles`, `--top-sites`.
 //!
-//! The figure sweeps themselves always run unprobed (the [`NullProbe`]
-//! machine — bit-identical and perf-guarded). When any probe flag is
+//! The figure sweeps themselves run unprobed (the [`NullProbe`]
+//! machine — bit-identical and perf-guarded) unless `--obs-grid` puts the
+//! counter and site probes on their cells ([`crate::obs_grid`]). When any
+//! other probe flag is
 //! present, the binary runs one *extra* probed pass per workload after
 //! the tables — at the figure's anchor depth/configuration, replaying
 //! the shared recordings when available — and renders the telemetry as
@@ -13,13 +15,13 @@
 use std::path::PathBuf;
 
 use arvi_obs::codec::{counters_summary_json, top_sites_json};
-use arvi_obs::{ChromeTracer, CounterProbe, Probe, SiteProbe};
-use arvi_sim::{intern_name, simulate_source_probed, Depth, PredictorConfig, SimParams, SimResult};
-use arvi_workloads::WorkloadSource;
+use arvi_obs::{ChromeTracer, CounterProbe, SiteProbe};
+use arvi_sim::{Depth, PredictorConfig, SimResult};
 
 use crate::harness::Spec;
 use crate::report::{write_text, Json};
-use crate::sweep::{trace_len, TraceSet};
+use crate::resilience::simulate_cell;
+use crate::sweep::{SweepPoint, TraceSet};
 use crate::workload::Workload;
 
 /// Which probes an observability pass runs and where output goes.
@@ -171,7 +173,8 @@ pub struct ObsReport {
 
 /// Runs the probed pass: one simulation per workload at
 /// (`depth`, `config`) with all three probes attached, replaying shared
-/// recordings when `traces` has them (live emulation otherwise).
+/// recordings that cover the window (live emulation otherwise) — the
+/// grid runner's own cell simulation, with another probe.
 pub fn run_obs_pass(
     workloads: &[Workload],
     depth: Depth,
@@ -195,9 +198,14 @@ pub fn run_obs_pass(
             ChromeTracer::with_capacity(0, 0, 0)
         };
         tracer.pid = wi as u32 + 1;
+        let point = SweepPoint {
+            workload: workload.clone(),
+            depth,
+            config,
+        };
         let probe = ((CounterProbe::new(), SiteProbe::new()), tracer);
-        let (result, ((counters, sites), tracer)) =
-            simulate_probed(workload, depth, config, spec, traces, probe);
+        let (result, _, ((counters, sites), tracer)) =
+            simulate_cell(&point, spec, traces, true, probe).expect("live fallback is on");
         report.merged.merge(&counters);
         report.workloads.push(WorkloadObs {
             name: workload.name().to_string(),
@@ -208,47 +216,6 @@ pub fn run_obs_pass(
         });
     }
     report
-}
-
-/// One probed simulation of `workload` at (`depth`, `config`) under
-/// `spec`: replays the shared recording when `traces` holds one covering
-/// [`trace_len`]`(spec)`, and emulates live otherwise. Both the anchor
-/// pass and the grid pass ([`crate::obs_grid`]) run their cells here.
-pub(crate) fn simulate_probed<P: Probe>(
-    workload: &Workload,
-    depth: Depth,
-    config: PredictorConfig,
-    spec: Spec,
-    traces: Option<&TraceSet>,
-    probe: P,
-) -> (SimResult, P) {
-    let name = intern_name(workload.name());
-    let params = SimParams::for_depth(depth);
-    let replayer = traces.and_then(|t| {
-        t.get(workload)
-            .filter(|tr| tr.len() >= trace_len(spec))
-            .and_then(|_| t.replayer(workload))
-    });
-    match replayer {
-        Some(replayer) => simulate_source_probed(
-            name,
-            replayer,
-            params,
-            config,
-            spec.warmup,
-            spec.measure,
-            probe,
-        ),
-        None => simulate_source_probed(
-            name,
-            arvi_isa::Emulator::new(workload.program(spec.seed)),
-            params,
-            config,
-            spec.warmup,
-            spec.measure,
-            probe,
-        ),
-    }
 }
 
 impl ObsReport {

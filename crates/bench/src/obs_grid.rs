@@ -2,20 +2,23 @@
 //!
 //! The anchor pass ([`crate::obs`]) observes one `(depth, config)`
 //! point per workload. This module promotes the probe seam to the whole
-//! grid: [`run_obs_grid`] re-runs every [`SweepPoint`] with the
-//! counter+site probes attached — replaying the shared recordings, with
-//! the same per-cell panic isolation, kill handling and journal/resume
-//! semantics as the resilient sweep — and merges the telemetry per
+//! grid: under `--obs-grid` the sweep's own whole-cell jobs run with the
+//! counter+site probes attached (the one grid runner,
+//! `resilience::run_grid`, so probed cells get the same panic
+//! isolation, deadline, fault plan, degradation, journal and resume as
+//! every other cell), and [`maybe_obs_grid`] folds the probed cells per
 //! `(workload, config)` group and grid-wide into one `obs_grid.json`
-//! rollup ([`obs_grid_json`]).
+//! rollup ([`obs_grid_json`]) without simulating anything. No grid is
+//! simulated twice. [`run_obs_grid`] is the same probed sweep + fold over
+//! an explicit point list.
 //!
-//! Journaled cells and the rollup use the lossless probe codec in
-//! [`arvi_obs::codec`] ([`counters_to_json`], [`sites_to_json`] and
-//! their inverses), which is what makes a resumed grid byte-identical to
-//! an uninterrupted one; each group's `top` list is the report view
-//! [`top_sites_json`]. Site tables render sorted by PC and groups merge
-//! in point order, so the rollup is also byte-identical across worker
-//! counts.
+//! A probed cell's sweep-journal entry carries its probes in the lossless
+//! codec of [`arvi_obs::codec`] ([`counters_to_json`], [`sites_to_json`]
+//! and their inverses), which is what makes a resumed grid
+//! byte-identical to an uninterrupted one; each group's `top` list is
+//! the report view [`top_sites_json`]. Site tables render sorted by PC
+//! and groups merge in point order, so the rollup is also
+//! byte-identical across worker counts.
 //!
 //! [`attribution_diff`] is the differential pass over the merged site
 //! tables: per workload, the branch PCs the ARVI configuration *fixes*
@@ -23,33 +26,19 @@
 //! "where does ARVI win" table, consumed by the `obs_report` binary.
 
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use arvi_obs::codec::{
-    counters_from_json, counters_to_json, sites_from_json, sites_to_json, top_sites_json,
-};
+use arvi_obs::codec::{counters_to_json, sites_from_json, sites_to_json, top_sites_json};
 use arvi_obs::{CounterProbe, SiteProbe};
-use arvi_sim::{execute, PredictorConfig};
+use arvi_sim::PredictorConfig;
 
+use crate::events::SweepTelemetry;
 use crate::harness::Spec;
-use crate::obs::simulate_probed;
 use crate::report::{write_text, Json};
-use crate::resilience::{cell_fingerprint, panic_message, Journal, Resilience};
+use crate::resilience::{run_grid, CellOutcome, Jobs, Resilience};
+use crate::sampling::SampledSweep;
 use crate::sweep::{SweepPoint, TraceSet};
 use crate::Run;
-
-/// The probes collected from one grid cell.
-#[derive(Debug, Clone)]
-struct CellObs {
-    counters: CounterProbe,
-    sites: SiteProbe,
-}
-
-enum ObsCell {
-    Ok { obs: Box<CellObs>, resumed: bool },
-    Failed { reason: String },
-}
 
 /// Merged telemetry for one `(workload, config)` group of the grid
 /// (summed over every depth/cell of that pair, in point order).
@@ -77,7 +66,7 @@ pub struct ObsGrid {
     pub total: usize,
     /// Cells that produced telemetry (simulated or restored).
     pub completed: usize,
-    /// Cells restored from the obs journal instead of re-simulated.
+    /// Cells restored from the sweep journal instead of re-simulated.
     pub resumed: usize,
     /// Failed/skipped cells: `(index, point, reason)`.
     pub failed: Vec<(usize, String, String)>,
@@ -93,38 +82,12 @@ pub struct ObsGrid {
     pub cells_committed: Vec<Option<u64>>,
 }
 
-/// Decodes one obs journal entry (see [`obs_entry_json`]).
-fn obs_entry_from_json(entry: &Json) -> Option<CellObs> {
-    Some(CellObs {
-        counters: counters_from_json(entry.get("counters")?)?,
-        sites: sites_from_json(entry.get("sites")?)?,
-    })
-}
-
-/// Serializes one probed cell for the obs journal, losslessly.
-fn obs_entry_json(obs: &CellObs) -> Json {
-    Json::obj([
-        ("counters", counters_to_json(&obs.counters)),
-        ("sites", sites_to_json(&obs.sites)),
-    ])
-}
-
-/// The obs journal's conventional location beside a sweep journal.
-fn obs_journal_path(sweep_journal: &Path) -> PathBuf {
-    let mut os = sweep_journal.as_os_str().to_os_string();
-    os.push(".obs");
-    PathBuf::from(os)
-}
-
 /// Probes every grid point (counter + site probes, always both) and
-/// merges the telemetry. The job list runs on [`arvi_sim::execute`] like
-/// the sweep itself: cells run under `catch_unwind` on up to `threads`
-/// workers, a [`crate::resilience::FaultKind::KillAfter`] plan stops
-/// dispatch, and with a journal configured ([`Resilience::journal`] —
-/// the obs journal lives beside it as `<journal>.obs`) completed cells
-/// are appended as they finish and restored on [`Resilience::resume`].
-/// Restored telemetry is byte-identical to re-simulated telemetry — the
-/// serialization is full-fidelity by construction.
+/// merges the telemetry: the probed grid runner (with `res`'s fault
+/// plan, deadline, journal and resume; [`Resilience::default`] when
+/// `None`) followed by the same fold as [`maybe_obs_grid`]. Restored
+/// telemetry is byte-identical to re-simulated telemetry — the journal
+/// codec is full-fidelity by construction.
 pub fn run_obs_grid(
     points: &[SweepPoint],
     spec: Spec,
@@ -135,67 +98,17 @@ pub fn run_obs_grid(
 ) -> ObsGrid {
     let default = Resilience::default();
     let res = res.unwrap_or(&default);
-    let journal_path = res.journal.as_deref().map(obs_journal_path);
-    let (journal, prior) = Journal::open(
-        journal_path.as_deref(),
-        "obs",
-        spec,
-        res.resume,
-        obs_entry_from_json,
-    );
-    let telemetry = res.telemetry.as_deref();
-    let start = Instant::now();
-    let cells = execute(
-        points,
-        threads,
-        |n| res.stop_after(n),
-        |i, point| {
-            if progress {
-                eprintln!("obs grid: {point}");
-            }
-            if let Some(t) = telemetry {
-                t.event(
-                    "cell_start",
-                    vec![
-                        ("pass", Json::str("obs")),
-                        ("cell", Json::Num(i as f64)),
-                        ("point", Json::str(point.to_string())),
-                    ],
-                );
-            }
-            let cell = run_obs_cell(point, spec, traces, &prior);
-            if let (
-                ObsCell::Ok {
-                    obs,
-                    resumed: false,
-                },
-                Some(journal),
-            ) = (&cell, &journal)
-            {
-                journal.append(cell_fingerprint(point, spec), &obs_entry_json(obs));
-            }
-            if let Some(t) = telemetry {
-                let outcome = match &cell {
-                    ObsCell::Ok { resumed: true, .. } => "ok-resumed",
-                    ObsCell::Ok { .. } => "ok",
-                    ObsCell::Failed { .. } => "failed",
-                };
-                t.event(
-                    "cell_end",
-                    vec![
-                        ("pass", Json::str("obs")),
-                        ("cell", Json::Num(i as f64)),
-                        ("point", Json::str(point.to_string())),
-                        ("outcome", Json::str(outcome)),
-                    ],
-                );
-            }
-            cell
-        },
-    );
+    let sweep = run_grid(points, spec, Jobs::Probed, threads, progress, traces, res);
+    fold(spec, &sweep, res.telemetry.as_deref())
+}
 
-    // Merge sequentially in point order: the rollup is deterministic
-    // regardless of which worker finished which cell first.
+/// Folds a probed sweep's cells into per-group and grid-wide merges,
+/// sequentially in point order: the rollup is deterministic regardless
+/// of which worker finished which cell first. Emits `obs_grid_end`
+/// (`dur_us` is the fold's own time).
+fn fold(spec: Spec, sweep: &SampledSweep, telemetry: Option<&SweepTelemetry>) -> ObsGrid {
+    let start = Instant::now();
+    let points = &sweep.points;
     let mut grid = ObsGrid {
         spec,
         total: points.len(),
@@ -207,40 +120,36 @@ pub fn run_obs_grid(
         sites: SiteProbe::new(),
         cells_committed: vec![None; points.len()],
     };
-    for (i, (point, cell)) in points.iter().zip(cells).enumerate() {
-        match cell {
-            Some(ObsCell::Ok { obs, resumed }) => {
-                grid.completed += 1;
-                grid.resumed += resumed as usize;
-                grid.cells_committed[i] = Some(obs.counters.committed);
-                grid.counters.merge(&obs.counters);
-                grid.sites.merge(&obs.sites);
-                let name = point.workload.name();
-                match grid
-                    .groups
-                    .iter_mut()
-                    .find(|g| g.workload == name && g.config == point.config)
-                {
-                    Some(g) => {
-                        g.cells += 1;
-                        g.counters.merge(&obs.counters);
-                        g.sites.merge(&obs.sites);
-                    }
-                    None => grid.groups.push(ObsGroup {
-                        workload: name.to_string(),
-                        config: point.config,
-                        cells: 1,
-                        counters: obs.counters,
-                        sites: obs.sites,
-                    }),
-                }
+    for (i, (point, outcome)) in points.iter().zip(&sweep.outcomes).enumerate() {
+        let CellOutcome::Ok(s) = outcome else {
+            let reason = outcome.failure().expect("non-ok outcome has a reason");
+            grid.failed.push((i, point.to_string(), reason));
+            continue;
+        };
+        let (counters, sites) = s.probes.as_deref().expect("probed cells carry probes");
+        grid.completed += 1;
+        grid.resumed += s.resumed as usize;
+        grid.cells_committed[i] = Some(counters.committed);
+        grid.counters.merge(counters);
+        grid.sites.merge(sites);
+        let name = point.workload.name();
+        match grid
+            .groups
+            .iter_mut()
+            .find(|g| g.workload == name && g.config == point.config)
+        {
+            Some(g) => {
+                g.cells += 1;
+                g.counters.merge(counters);
+                g.sites.merge(sites);
             }
-            Some(ObsCell::Failed { reason }) => grid.failed.push((i, point.to_string(), reason)),
-            None => grid.failed.push((
-                i,
-                point.to_string(),
-                "skipped (run stopped before dispatch)".to_string(),
-            )),
+            None => grid.groups.push(ObsGroup {
+                workload: name.to_string(),
+                config: point.config,
+                cells: 1,
+                counters: counters.clone(),
+                sites: sites.clone(),
+            }),
         }
     }
     if let Some(t) = telemetry {
@@ -254,41 +163,6 @@ pub fn run_obs_grid(
         );
     }
     grid
-}
-
-fn run_obs_cell(
-    point: &SweepPoint,
-    spec: Spec,
-    traces: Option<&TraceSet>,
-    prior: &HashMap<u64, CellObs>,
-) -> ObsCell {
-    if let Some(obs) = prior.get(&cell_fingerprint(point, spec)) {
-        return ObsCell::Ok {
-            obs: Box::new(obs.clone()),
-            resumed: true,
-        };
-    }
-    let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let probe = (CounterProbe::new(), SiteProbe::new());
-        let (_, (counters, sites)) = simulate_probed(
-            &point.workload,
-            point.depth,
-            point.config,
-            spec,
-            traces,
-            probe,
-        );
-        CellObs { counters, sites }
-    }));
-    match attempt {
-        Ok(obs) => ObsCell::Ok {
-            obs: Box::new(obs),
-            resumed: false,
-        },
-        Err(payload) => ObsCell::Failed {
-            reason: format!("panicked: {}", panic_message(payload.as_ref())),
-        },
-    }
 }
 
 fn n(v: u64) -> Json {
@@ -608,21 +482,19 @@ impl Attribution {
     }
 }
 
-/// Runs the grid-probe pass over `points` and writes the rollup when
-/// `run` has `--obs-grid`; exits 1 when the rollup cannot be written.
-/// The experiment binaries call this with their natural grid after the
-/// tables.
-pub fn maybe_obs_grid(run: &Run, points: &[SweepPoint]) {
+/// Folds `sweep` — the run's own sweep, whose cells carry probes under
+/// `--obs-grid` — into the rollup and writes it when `run` has
+/// `--obs-grid`; exits 1 when the rollup cannot be written. Simulates
+/// nothing. The figure binaries call this after their tables.
+///
+/// # Panics
+///
+/// Panics if a completed cell of `sweep` carries no probes (a sweep
+/// `run` did not make).
+pub fn maybe_obs_grid(run: &Run, sweep: &SampledSweep) {
     let Some(cfg) = run.obs.as_ref() else { return };
     let Some(out) = &cfg.grid else { return };
-    let grid = run_obs_grid(
-        points,
-        run.spec,
-        run.threads,
-        Some(&run.traces),
-        Some(&run.res),
-        false,
-    );
+    let grid = fold(run.spec, sweep, run.res.telemetry.as_deref());
     let json = obs_grid_json(&grid, cfg.top_sites);
     if let Err(e) = write_text(out, &(json.render_compact() + "\n")) {
         eprintln!("error: cannot write obs grid rollup: {e}");
@@ -641,5 +513,35 @@ pub fn maybe_obs_grid(run: &Run, points: &[SweepPoint]) {
              (re-run with --resume to finish them)",
             grid.failed.len()
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::resilience::FaultPlan;
+    use crate::sweep::grid;
+    use crate::workload::Workload;
+    use arvi_sim::Depth;
+    use arvi_workloads::Benchmark;
+
+    #[test]
+    fn probed_cells_get_the_same_fault_handling() {
+        let spec = Spec {
+            warmup: 500,
+            measure: 1_500,
+            seed: 3,
+        };
+        let workloads = [Workload::from(Benchmark::Compress)];
+        let points = grid(&workloads, &[Depth::D20], &PredictorConfig::all());
+        let res = Resilience::new().with_plan(FaultPlan::parse("panic-cell 1").unwrap());
+        let g = run_obs_grid(&points, spec, 2, None, Some(&res), false);
+        assert_eq!(g.completed, points.len() - 1);
+        let [(cell, point, reason)] = &g.failed[..] else {
+            panic!("expected exactly cell 1 to fail: {:?}", g.failed);
+        };
+        assert_eq!((*cell, point), (1, &points[1].to_string()));
+        assert!(reason.starts_with("panicked: injected fault"), "{reason}");
+        assert_eq!(g.cells_committed[1], None);
     }
 }

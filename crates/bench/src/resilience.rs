@@ -38,13 +38,18 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use arvi_obs::codec::{counters_from_json, counters_to_json, sites_from_json, sites_to_json};
+use arvi_obs::{CounterProbe, NullProbe, Probe, SiteProbe};
 use arvi_sampling::SamplePlan;
-use arvi_sim::{execute, intern_name, PredictorConfig, SimResult};
+use arvi_sim::{
+    execute, intern_name, simulate_source_probed, PredictorConfig, SimParams, SimResult,
+};
 use arvi_stats::Accuracy;
-use arvi_trace::{StdIo, TraceError, TraceIo, REPLAY_PANIC_PREFIX};
+use arvi_trace::{StdIo, TraceError, TraceIo, TraceReplayer, REPLAY_PANIC_PREFIX};
+use arvi_workloads::WorkloadSource;
 
 use crate::events::SweepTelemetry;
-use crate::harness::{run_one, run_one_traced, Spec};
+use crate::harness::Spec;
 use crate::report::{io_error_at, Json};
 use crate::sampling::{assemble_cell, run_unit_job, unit_fingerprint, SampledSweep, UnitDone};
 use crate::sweep::{trace_len, SweepPoint, TraceProvenance, TraceSet};
@@ -103,6 +108,9 @@ pub struct CellSuccess {
     /// [`crate::sampling::run_sweep_sampled`]; `0` for a full
     /// (unsampled) run.
     pub sampled_units: usize,
+    /// The counter and site probes the cell ran with, when its grid was
+    /// probed (`--obs-grid`, [`crate::obs_grid::run_obs_grid`]).
+    pub(crate) probes: Option<Box<(CounterProbe, SiteProbe)>>,
 }
 
 /// The structured outcome of one grid cell under
@@ -547,45 +555,61 @@ fn accuracy_from(json: &Json, path: &str) -> Option<Accuracy> {
     }
 }
 
-/// One sweep journal entry: a cell's (or a sampling unit's) result, how
-/// it was obtained, and how long it took.
-pub(crate) type JournalEntry = (SimResult, Degradation, Duration);
-
-/// Serializes one completed cell for the journal. All counters fit f64
-/// exactly (they are bounded by the instruction window, far below 2^53).
-pub(crate) fn entry_json(result: &SimResult, degradation: Degradation, duration: Duration) -> Json {
-    let w = &result.window;
-    Json::obj([
-        ("name", Json::str(result.name)),
-        ("config", Json::Num(config_index(result.config) as f64)),
-        ("depth", Json::Num(result.depth_stages as f64)),
-        ("degraded", Json::str(degradation.tag())),
-        ("dur_us", Json::Num(duration.as_micros() as f64)),
-        (
-            "window",
-            Json::obj([
-                ("committed", Json::Num(w.committed as f64)),
-                ("cycles", Json::Num(w.cycles as f64)),
-                ("cond", accuracy_json(w.cond_branches)),
-                ("l1", accuracy_json(w.l1_only)),
-                ("calc", accuracy_json(w.calc_class)),
-                ("load", accuracy_json(w.load_class)),
-                ("overrides", Json::Num(w.overrides as f64)),
-                ("correcting", Json::Num(w.overrides_correcting as f64)),
-                ("bvit", Json::Num(w.bvit_hits as f64)),
-                ("full_misp", Json::Num(w.full_mispredicts as f64)),
-                ("restarts", Json::Num(w.override_restarts as f64)),
-            ]),
-        ),
-    ])
+/// Serializes one finished job for the journal: a whole cell or a
+/// sampling unit (whose counter block rides in `window`), how it was
+/// obtained, how long it took and, for a probed cell, its probes in the
+/// lossless [`arvi_obs::codec`] form. All counters fit f64 exactly (they
+/// are bounded by the instruction window, far below 2^53).
+fn entry_json(s: &CellSuccess) -> Json {
+    let w = &s.result.window;
+    let probes = s.probes.iter().flat_map(|p| {
+        [
+            ("counters", counters_to_json(&p.0)),
+            ("sites", sites_to_json(&p.1)),
+        ]
+    });
+    Json::obj(
+        [
+            ("name", Json::str(s.result.name)),
+            ("config", Json::Num(config_index(s.result.config) as f64)),
+            ("depth", Json::Num(s.result.depth_stages as f64)),
+            ("degraded", Json::str(s.degradation.tag())),
+            ("dur_us", Json::Num(s.duration.as_micros() as f64)),
+            (
+                "window",
+                Json::obj([
+                    ("committed", Json::Num(w.committed as f64)),
+                    ("cycles", Json::Num(w.cycles as f64)),
+                    ("cond", accuracy_json(w.cond_branches)),
+                    ("l1", accuracy_json(w.l1_only)),
+                    ("calc", accuracy_json(w.calc_class)),
+                    ("load", accuracy_json(w.load_class)),
+                    ("overrides", Json::Num(w.overrides as f64)),
+                    ("correcting", Json::Num(w.overrides_correcting as f64)),
+                    ("bvit", Json::Num(w.bvit_hits as f64)),
+                    ("full_misp", Json::Num(w.full_mispredicts as f64)),
+                    ("restarts", Json::Num(w.override_restarts as f64)),
+                ]),
+            ),
+        ]
+        .into_iter()
+        .chain(probes),
+    )
 }
 
-fn entry_from_json(json: &Json) -> Option<JournalEntry> {
+/// Decodes one journal entry as a restored job. Identity fields and
+/// counters must be non-negative integers; anything else is malformed.
+fn entry_from_json(json: &Json) -> Option<CellSuccess> {
     let name = match json.get("name")? {
         Json::Str(s) => intern_name(s),
         _ => return None,
     };
-    let config = *PredictorConfig::all().get(json.num("config")? as usize)?;
+    let count = |path: &str| {
+        json.num(path)
+            .filter(|n| *n >= 0.0 && n.fract() == 0.0)
+            .map(|n| n as u64)
+    };
+    let config = *PredictorConfig::all().get(count("config")? as usize)?;
     let degradation = match json.get("degraded")? {
         Json::Str(s) => Degradation::from_tag(s)?,
         _ => return None,
@@ -596,7 +620,11 @@ fn entry_from_json(json: &Json) -> Option<JournalEntry> {
         .filter(|n| *n >= 0.0)
         .map(|n| Duration::from_micros(n as u64))
         .unwrap_or_default();
-    let count = |path: &str| json.num(path).filter(|n| *n >= 0.0).map(|n| n as u64);
+    let probes = match (json.get("counters"), json.get("sites")) {
+        (None, None) => None,
+        (Some(c), Some(s)) => Some(Box::new((counters_from_json(c)?, sites_from_json(s)?))),
+        _ => return None,
+    };
     let window = arvi_sim::MachineStats {
         committed: count("window.committed")?,
         cycles: count("window.cycles")?,
@@ -610,57 +638,58 @@ fn entry_from_json(json: &Json) -> Option<JournalEntry> {
         full_mispredicts: count("window.full_misp")?,
         override_restarts: count("window.restarts")?,
     };
-    Some((
-        SimResult {
+    Some(CellSuccess {
+        result: SimResult {
             name,
             config,
-            depth_stages: json.num("depth")? as u64,
+            depth_stages: count("depth")?,
             window,
         },
         degradation,
+        resumed: true,
         duration,
-    ))
+        sampled_units: 0,
+        probes,
+    })
 }
 
-/// Append-only journal of finished jobs: a `# arvi <kind> journal v1`
-/// header line, then one `<fingerprint-hex16> <compact-json>` line per
-/// job, appended (and flushed) as each job finishes. The sweep journal
-/// (kind `sweep`: whole cells and sampling units) and the obs journal
-/// beside it (kind `obs`: probed cells) share this one format.
+/// The append-only sweep journal of finished jobs: a
+/// `# arvi sweep journal v1` header line, then one
+/// `<fingerprint-hex16> <compact-json>` line per job, appended (and
+/// flushed) as each job finishes. Whole cells, sampling units and probed
+/// cells share the one entry format ([`CellSuccess`] round-trips through
+/// it); a probed cell's entry adds its `counters` and `sites`.
 /// Crash-tolerant on both ends: a torn final line from an interrupted
 /// writer is skipped (with a warning) by the loader, and everything
 /// before it still resumes.
 #[derive(Debug)]
 pub(crate) struct Journal {
     path: PathBuf,
-    kind: &'static str,
     file: Mutex<std::fs::File>,
 }
 
 impl Journal {
-    /// The journal a run appends to and the entries it resumes from:
-    /// with `path` set, loads its well-formed entries through `decode`
-    /// when `resume` is on, then opens it for appending (warning and
-    /// continuing without a journal when that fails).
-    pub(crate) fn open<E>(
+    /// The journal a run appends to and the jobs it resumes from: with
+    /// `path` set, loads its well-formed entries when `resume` is on,
+    /// then opens it for appending (warning and continuing without a
+    /// journal when that fails).
+    pub(crate) fn open(
         path: Option<&Path>,
-        kind: &'static str,
         spec: Spec,
         resume: bool,
-        decode: impl Fn(&Json) -> Option<E>,
-    ) -> (Option<Journal>, HashMap<u64, E>) {
+    ) -> (Option<Journal>, HashMap<u64, CellSuccess>) {
         let Some(path) = path else {
             return (None, HashMap::new());
         };
         let prior = if resume {
-            Journal::load(path, kind, decode)
+            Journal::load(path)
         } else {
             HashMap::new()
         };
-        let journal = Journal::open_append(path, kind, spec)
+        let journal = Journal::open_append(path, spec)
             .map_err(|e| {
                 eprintln!(
-                    "warning: cannot open {kind} journal {}: {e} (continuing without)",
+                    "warning: cannot open sweep journal {}: {e} (continuing without)",
                     path.display()
                 )
             })
@@ -670,7 +699,7 @@ impl Journal {
 
     /// Opens `path` for appending, writing the header line when the file
     /// is new or empty.
-    fn open_append(path: &Path, kind: &'static str, spec: Spec) -> std::io::Result<Journal> {
+    fn open_append(path: &Path, spec: Spec) -> std::io::Result<Journal> {
         if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
             std::fs::create_dir_all(parent).map_err(|e| io_error_at(parent, e))?;
         }
@@ -682,27 +711,25 @@ impl Journal {
         if file.metadata().map_err(|e| io_error_at(path, e))?.len() == 0 {
             writeln!(
                 file,
-                "# arvi {kind} journal v1 seed={} warmup={} measure={}",
+                "# arvi sweep journal v1 seed={} warmup={} measure={}",
                 spec.seed, spec.warmup, spec.measure
             )
             .map_err(|e| io_error_at(path, e))?;
         }
         Ok(Journal {
             path: path.to_path_buf(),
-            kind,
             file: Mutex::new(file),
         })
     }
 
     /// Appends one finished job. Persistence failures only warn — a full
     /// disk must not fail the sweep itself.
-    pub(crate) fn append(&self, fingerprint: u64, entry: &Json) {
-        let line = format!("{fingerprint:016x} {}", entry.render_compact());
+    pub(crate) fn append(&self, fingerprint: u64, job: &CellSuccess) {
+        let line = format!("{fingerprint:016x} {}", entry_json(job).render_compact());
         let mut file = self.file.lock().expect("journal writer panicked");
         if let Err(e) = writeln!(file, "{line}").and_then(|()| file.flush()) {
             eprintln!(
-                "warning: cannot append to {} journal {}: {e}",
-                self.kind,
+                "warning: cannot append to sweep journal {}: {e}",
                 self.path.display()
             );
         }
@@ -711,7 +738,7 @@ impl Journal {
     /// Loads every well-formed entry of the journal at `path`. A missing
     /// file is an empty journal; malformed lines (e.g. a torn final line
     /// from a crashed writer) are skipped with a warning.
-    fn load<E>(path: &Path, kind: &str, decode: impl Fn(&Json) -> Option<E>) -> HashMap<u64, E> {
+    fn load(path: &Path) -> HashMap<u64, CellSuccess> {
         let mut entries = HashMap::new();
         let Ok(text) = std::fs::read_to_string(path) else {
             return entries;
@@ -723,14 +750,14 @@ impl Journal {
             }
             let parsed = line.split_once(' ').and_then(|(fp, json)| {
                 let fp = u64::from_str_radix(fp, 16).ok()?;
-                Some((fp, decode(&Json::parse(json).ok()?)?))
+                Some((fp, entry_from_json(&Json::parse(json).ok()?)?))
             });
             match parsed {
                 Some((fp, entry)) => {
                     entries.insert(fp, entry);
                 }
                 None => eprintln!(
-                    "warning: {kind} journal {}: skipping malformed line {} \
+                    "warning: sweep journal {}: skipping malformed line {} \
                      (torn write from an interrupted run?)",
                     path.display(),
                     ln + 1
@@ -774,34 +801,46 @@ pub fn run_sweep_resilient(
     traces: Option<&TraceSet>,
     res: &Resilience,
 ) -> Vec<CellOutcome> {
-    run_grid(points, spec, None, threads, progress, traces, res).outcomes
+    run_grid(points, spec, Jobs::Cells, threads, progress, traces, res).outcomes
+}
+
+/// What the grid runner makes of each cell.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Jobs<'a> {
+    /// One whole, unprobed run per cell.
+    Cells,
+    /// One whole run per cell with `(CounterProbe, SiteProbe)` attached;
+    /// each [`CellSuccess`] carries its probes.
+    Probed,
+    /// One job per sampling unit of the plan, for every cell whose
+    /// workload has a usable recording.
+    Sampled(&'a SamplePlan),
 }
 
 /// The grid runner every sweep goes through: one job list on
 /// [`arvi_sim::execute`], stopped by the fault plan's simulated kill.
 ///
-/// Without a `plan` every cell is one job ([`run_cell`]). With a plan,
-/// each cell whose workload has a usable recording becomes one job per
-/// sampling unit (journaled and resumed per unit, then aggregated in
-/// unit order); a cell without one cannot be sampled — sampling seeks,
-/// live emulation cannot — and stays a whole-run job, which degrades to
-/// live emulation like any other.
+/// Whole-cell jobs run through [`run_cell`], probed or not. Under
+/// [`Jobs::Sampled`], each cell whose workload has a usable recording
+/// becomes one job per sampling unit (journaled and resumed per unit,
+/// then aggregated in unit order); a cell without one cannot be
+/// sampled — sampling seeks, live emulation cannot — and stays a
+/// whole-run job, which degrades to live emulation like any other.
 pub(crate) fn run_grid(
     points: &[SweepPoint],
     spec: Spec,
-    plan: Option<&SamplePlan>,
+    jobs: Jobs,
     threads: usize,
     progress: bool,
     traces: Option<&TraceSet>,
     res: &Resilience,
 ) -> SampledSweep {
-    let (journal, prior) = Journal::open(
-        res.journal.as_deref(),
-        "sweep",
-        spec,
-        res.resume,
-        entry_from_json,
-    );
+    let (journal, prior) = Journal::open(res.journal.as_deref(), spec, res.resume);
+    let plan = match jobs {
+        Jobs::Sampled(plan) => Some(plan),
+        Jobs::Cells | Jobs::Probed => None,
+    };
+    let probed = matches!(jobs, Jobs::Probed);
     // Detail windows live inside the measurement window; unit warm-up
     // may reach back into the spec warm-up prefix (recorded too).
     let units = plan.map_or_else(Vec::new, |p| p.units(spec.warmup, spec.measure, spec.seed));
@@ -865,11 +904,10 @@ pub(crate) fn run_grid(
             Job::Cell(i) => {
                 let point = &points[i];
                 cell_start(i, point);
-                let outcome = run_cell(i, point, spec, traces, res, &prior);
+                let outcome = run_cell(i, point, spec, traces, res, &prior, probed);
                 if let (CellOutcome::Ok(s), Some(journal)) = (&outcome, &journal) {
                     if !s.resumed {
-                        let entry = entry_json(&s.result, s.degradation, s.duration);
-                        journal.append(cell_fingerprint(point, spec), &entry);
+                        journal.append(cell_fingerprint(point, spec), s);
                     }
                 }
                 if let Some(t) = telemetry {
@@ -903,6 +941,7 @@ pub(crate) fn run_grid(
     // sampled cell's units contiguously.
     let mut done = done.into_iter();
     let mut sweep = SampledSweep {
+        points: points.to_vec(),
         outcomes: Vec::with_capacity(points.len()),
         reports: Vec::with_capacity(points.len()),
     };
@@ -1038,22 +1077,21 @@ fn emit_cell_events(
     t.cell_finished(key, simulated_duration, resumed, degraded);
 }
 
+/// Runs (or restores) one whole cell under `res`, with the counter and
+/// site probes attached when `probed`. A probed run restores only
+/// journal entries that carry probes and re-simulates the others.
 fn run_cell(
     i: usize,
     point: &SweepPoint,
     spec: Spec,
     traces: Option<&TraceSet>,
     res: &Resilience,
-    prior: &HashMap<u64, JournalEntry>,
+    prior: &HashMap<u64, CellSuccess>,
+    probed: bool,
 ) -> CellOutcome {
-    if let Some((result, degradation, duration)) = prior.get(&cell_fingerprint(point, spec)) {
-        return CellOutcome::Ok(CellSuccess {
-            result: result.clone(),
-            degradation: *degradation,
-            resumed: true,
-            duration: *duration,
-            sampled_units: 0,
-        });
+    let restored = prior.get(&cell_fingerprint(point, spec));
+    if let Some(s) = restored.filter(|s| !probed || s.probes.is_some()) {
+        return CellOutcome::Ok(s.clone());
     }
     let start = Instant::now();
     let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1065,37 +1103,13 @@ fn run_cell(
                 std::thread::sleep(stall);
             }
         }
-        let degrade = |reason: String| -> Result<(SimResult, Degradation), String> {
-            if res.live_fallback {
-                Ok((
-                    run_one(&point.workload, point.depth, point.config, spec),
-                    Degradation::LiveEmulation,
-                ))
-            } else {
-                Err(reason)
-            }
-        };
-        match traces {
-            None => Ok((
-                run_one(&point.workload, point.depth, point.config, spec),
-                Degradation::None,
-            )),
-            Some(traces) => match traces.get(&point.workload) {
-                Some(trace) if trace.len() >= trace_len(spec) => Ok((
-                    run_one_traced(trace, point.depth, point.config, spec),
-                    replay_degradation(traces, &point.workload),
-                )),
-                Some(trace) => degrade(format!(
-                    "trace {} holds {} instructions but the window needs {}",
-                    trace.name(),
-                    trace.len(),
-                    trace_len(spec)
-                )),
-                None => degrade(match traces.provenance(&point.workload) {
-                    Some(TraceProvenance::Unavailable { reason }) => reason.clone(),
-                    _ => format!("no recording for workload {}", point.workload),
-                }),
-            },
+        if probed {
+            let probe = (CounterProbe::new(), SiteProbe::new());
+            simulate_cell(point, spec, traces, res.live_fallback, probe)
+                .map(|(result, degradation, probes)| (result, degradation, Some(Box::new(probes))))
+        } else {
+            simulate_cell(point, spec, traces, res.live_fallback, NullProbe)
+                .map(|(result, degradation, NullProbe)| (result, degradation, None))
         }
     }));
     let elapsed = start.elapsed();
@@ -1109,7 +1123,7 @@ fn run_cell(
             }
         }
         Ok(Err(message)) => CellOutcome::TraceError { message },
-        Ok(Ok((result, degradation))) => match res.deadline {
+        Ok(Ok((result, degradation, probes))) => match res.deadline {
             Some(deadline) if elapsed > deadline => CellOutcome::TimedOut { elapsed, deadline },
             _ => CellOutcome::Ok(CellSuccess {
                 result,
@@ -1117,9 +1131,70 @@ fn run_cell(
                 resumed: false,
                 duration: elapsed,
                 sampled_units: 0,
+                probes,
             }),
         },
     }
+}
+
+/// Simulates one cell with `probe` attached: replays `traces`' recording
+/// of the workload when it covers [`trace_len`]`(spec)`, and emulates
+/// live otherwise. Without a trace set live emulation is the normal path;
+/// with one it is a [`Degradation::LiveEmulation`] — or, when
+/// `live_fallback` is off, an error naming why no recording was usable.
+pub(crate) fn simulate_cell<P: Probe>(
+    point: &SweepPoint,
+    spec: Spec,
+    traces: Option<&TraceSet>,
+    live_fallback: bool,
+    probe: P,
+) -> Result<(SimResult, Degradation, P), String> {
+    let replay = traces.map(|traces| match traces.get(&point.workload) {
+        Some(trace) if trace.len() >= trace_len(spec) => Ok((
+            TraceReplayer::new(Arc::clone(trace)),
+            replay_degradation(traces, &point.workload),
+        )),
+        Some(trace) => Err(format!(
+            "trace {} holds {} instructions but the window needs {}",
+            trace.name(),
+            trace.len(),
+            trace_len(spec)
+        )),
+        None => Err(match traces.provenance(&point.workload) {
+            Some(TraceProvenance::Unavailable { reason }) => reason.clone(),
+            _ => format!("no recording for workload {}", point.workload),
+        }),
+    });
+    let name = intern_name(point.workload.name());
+    let params = SimParams::for_depth(point.depth);
+    let (warmup, measure) = (spec.warmup, spec.measure);
+    let ((result, probe), degradation) = match replay {
+        Some(Ok((replayer, degradation))) => (
+            simulate_source_probed(name, replayer, params, point.config, warmup, measure, probe),
+            degradation,
+        ),
+        Some(Err(reason)) if !live_fallback => return Err(reason),
+        _ => {
+            let emulator = arvi_isa::Emulator::new(point.workload.program(spec.seed));
+            let degradation = match replay {
+                Some(_) => Degradation::LiveEmulation,
+                None => Degradation::None,
+            };
+            (
+                simulate_source_probed(
+                    name,
+                    emulator,
+                    params,
+                    point.config,
+                    warmup,
+                    measure,
+                    probe,
+                ),
+                degradation,
+            )
+        }
+    };
+    Ok((result, degradation, probe))
 }
 
 /// Renders a caught panic payload (the `&str`/`String` payloads `panic!`
@@ -1400,49 +1475,85 @@ mod tests {
         assert_ne!(fp, cell_fingerprint(&base, spec3));
     }
 
+    /// One live simulation of `p` (no trace set), probed with `probe`.
+    fn simulate<P: Probe>(p: &SweepPoint, spec: Spec, probe: P) -> (SimResult, P) {
+        let (result, _, probe) = simulate_cell(p, spec, None, false, probe).unwrap();
+        (result, probe)
+    }
+
+    fn success(result: SimResult, degradation: Degradation, resumed: bool, ms: u64) -> CellSuccess {
+        CellSuccess {
+            result,
+            degradation,
+            resumed,
+            duration: Duration::from_millis(ms),
+            sampled_units: 0,
+            probes: None,
+        }
+    }
+
+    fn assert_same_result(got: &SimResult, want: &SimResult) {
+        assert_eq!(got.name, want.name);
+        assert_eq!(got.config, want.config);
+        assert_eq!(got.depth_stages, want.depth_stages);
+        let (g, w) = (&got.window, &want.window);
+        assert_eq!(g.committed, w.committed);
+        assert_eq!(g.cycles, w.cycles);
+        assert_eq!(g.cond_branches, w.cond_branches);
+        assert_eq!(g.l1_only, w.l1_only);
+        assert_eq!(g.calc_class, w.calc_class);
+        assert_eq!(g.load_class, w.load_class);
+        assert_eq!(g.overrides, w.overrides);
+        assert_eq!(g.overrides_correcting, w.overrides_correcting);
+        assert_eq!(g.bvit_hits, w.bvit_hits);
+        assert_eq!(g.full_mispredicts, w.full_mispredicts);
+        assert_eq!(g.override_restarts, w.override_restarts);
+    }
+
     #[test]
     fn journal_round_trips_results_exactly() {
         let spec = tiny_spec();
         let p = point(Benchmark::Compress);
-        let result = run_one(&p.workload, p.depth, p.config, spec);
+        let (result, NullProbe) = simulate(&p, spec, NullProbe);
+        let mut probed_point = point(Benchmark::Li);
+        probed_point.config = PredictorConfig::TwoLevelGskew;
+        let (probed_result, probes) =
+            simulate(&probed_point, spec, (CounterProbe::new(), SiteProbe::new()));
         let dir = std::env::temp_dir().join(format!("arvi-journal-test-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let path = dir.join("sweep.journal");
-        let journal = Journal::open_append(&path, "sweep", spec).unwrap();
-        journal.append(
-            cell_fingerprint(&p, spec),
-            &entry_json(
-                &result,
-                Degradation::Requarantined,
-                Duration::from_micros(123_456),
-            ),
-        );
+        let journal = Journal::open_append(&path, spec).unwrap();
+        let mut entry = success(result.clone(), Degradation::Requarantined, false, 0);
+        entry.duration = Duration::from_micros(123_456);
+        journal.append(cell_fingerprint(&p, spec), &entry);
+        let mut probed = success(probed_result.clone(), Degradation::None, false, 7);
+        probed.probes = Some(Box::new(probes));
+        journal.append(cell_fingerprint(&probed_point, spec), &probed);
         drop(journal);
-        let loaded = Journal::load(&path, "sweep", entry_from_json);
-        let (got, degradation, duration) = loaded
+        let loaded = Journal::load(&path);
+        let got = loaded
             .get(&cell_fingerprint(&p, spec))
             .expect("entry present");
-        assert_eq!(*degradation, Degradation::Requarantined);
-        assert_eq!(*duration, Duration::from_micros(123_456));
-        assert_eq!(got.name, result.name);
-        assert_eq!(got.config, result.config);
-        assert_eq!(got.depth_stages, result.depth_stages);
-        assert_eq!(got.window.committed, result.window.committed);
-        assert_eq!(got.window.cycles, result.window.cycles);
-        assert_eq!(got.window.cond_branches, result.window.cond_branches);
-        assert_eq!(got.window.l1_only, result.window.l1_only);
-        assert_eq!(got.window.calc_class, result.window.calc_class);
-        assert_eq!(got.window.load_class, result.window.load_class);
-        assert_eq!(got.window.overrides, result.window.overrides);
+        assert!(got.resumed && got.probes.is_none());
+        assert_eq!(got.degradation, Degradation::Requarantined);
+        assert_eq!(got.duration, Duration::from_micros(123_456));
+        assert_same_result(&got.result, &result);
+
+        // A probed cell's counters and sites come back exactly.
+        let got = loaded
+            .get(&cell_fingerprint(&probed_point, spec))
+            .expect("probed entry present");
+        assert_same_result(&got.result, &probed_result);
+        let (counters, sites) = got.probes.as_deref().expect("probes restored");
+        let (want_counters, want_sites) = probed.probes.as_deref().unwrap();
+        assert!(want_counters.committed > 0 && want_sites.sites > 0);
         assert_eq!(
-            got.window.overrides_correcting,
-            result.window.overrides_correcting
+            counters_to_json(counters).render_compact(),
+            counters_to_json(want_counters).render_compact()
         );
-        assert_eq!(got.window.bvit_hits, result.window.bvit_hits);
-        assert_eq!(got.window.full_mispredicts, result.window.full_mispredicts);
         assert_eq!(
-            got.window.override_restarts,
-            result.window.override_restarts
+            sites_to_json(sites).render_compact(),
+            sites_to_json(want_sites).render_compact()
         );
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1453,20 +1564,33 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         let spec = tiny_spec();
         let p = point(Benchmark::Li);
-        let result = run_one(&p.workload, p.depth, p.config, spec);
+        let (result, NullProbe) = simulate(&p, spec, NullProbe);
         let path = dir.join("sweep.journal");
-        let journal = Journal::open_append(&path, "sweep", spec).unwrap();
+        let journal = Journal::open_append(&path, spec).unwrap();
         journal.append(
             cell_fingerprint(&p, spec),
-            &entry_json(&result, Degradation::None, Duration::ZERO),
+            &success(result, Degradation::None, false, 0),
         );
         drop(journal);
-        // Simulate a crash mid-append: a torn, incomplete final line.
-        let mut text = std::fs::read_to_string(&path).unwrap();
+        let good = std::fs::read_to_string(&path).unwrap();
+        let entry = good.lines().nth(1).unwrap().split_once(' ').unwrap().1;
+        // A torn, incomplete final line (a crash mid-append), and
+        // identity fields out of range: a negative or fractional config
+        // or depth must not restore as some other cell.
+        let mut text = good.clone();
+        for (from, to) in [
+            ("\"config\":1,", "\"config\":-1,"),
+            ("\"config\":1,", "\"config\":1.5,"),
+            ("\"depth\":20,", "\"depth\":-20,"),
+            ("\"depth\":20,", "\"depth\":20.5,"),
+        ] {
+            assert!(entry.contains(from), "{entry}");
+            text.push_str(&format!("{:016x} {}\n", 0xbad, entry.replace(from, to)));
+        }
         text.push_str("deadbeefdeadbeef {\"name\":\"go\",\"config\":1,\"de");
         std::fs::write(&path, text).unwrap();
-        let loaded = Journal::load(&path, "sweep", entry_from_json);
-        assert_eq!(loaded.len(), 1, "good line kept, torn line dropped");
+        let loaded = Journal::load(&path);
+        assert_eq!(loaded.len(), 1, "good line kept, malformed lines dropped");
         assert!(loaded.contains_key(&cell_fingerprint(&p, spec)));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1474,16 +1598,9 @@ mod tests {
     #[test]
     fn outcome_summary_counts_paths() {
         let spec = tiny_spec();
-        let p = point(Benchmark::Li);
-        let result = run_one(&p.workload, p.depth, p.config, spec);
+        let (result, NullProbe) = simulate(&point(Benchmark::Li), spec, NullProbe);
         let ok = |degradation, resumed| {
-            CellOutcome::Ok(CellSuccess {
-                result: result.clone(),
-                degradation,
-                resumed,
-                duration: Duration::from_millis(40),
-                sampled_units: 0,
-            })
+            CellOutcome::Ok(success(result.clone(), degradation, resumed, 40))
         };
         assert_eq!(outcome_summary(&[ok(Degradation::None, false)]), None);
         let summary = outcome_summary(&[
@@ -1502,16 +1619,9 @@ mod tests {
     #[test]
     fn timing_summary_breaks_down_phases() {
         let spec = tiny_spec();
-        let p = point(Benchmark::Li);
-        let result = run_one(&p.workload, p.depth, p.config, spec);
+        let (result, NullProbe) = simulate(&point(Benchmark::Li), spec, NullProbe);
         let ok = |degradation, resumed, ms| {
-            CellOutcome::Ok(CellSuccess {
-                result: result.clone(),
-                degradation,
-                resumed,
-                duration: Duration::from_millis(ms),
-                sampled_units: 0,
-            })
+            CellOutcome::Ok(success(result.clone(), degradation, resumed, ms))
         };
         // Nothing ran in-process: resumed-only grids report no timing.
         assert_eq!(
@@ -1550,25 +1660,25 @@ mod tests {
         // entries must load with a zero duration, not be dropped.
         let spec = tiny_spec();
         let p = point(Benchmark::Li);
-        let result = run_one(&p.workload, p.depth, p.config, spec);
+        let (result, NullProbe) = simulate(&p, spec, NullProbe);
         let dir = std::env::temp_dir().join(format!("arvi-olddur-test-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let path = dir.join("sweep.journal");
-        let journal = Journal::open_append(&path, "sweep", spec).unwrap();
+        let journal = Journal::open_append(&path, spec).unwrap();
         journal.append(
             cell_fingerprint(&p, spec),
-            &entry_json(&result, Degradation::None, Duration::from_millis(5)),
+            &success(result, Degradation::None, false, 5),
         );
         drop(journal);
         let text = std::fs::read_to_string(&path)
             .unwrap()
             .replace("\"dur_us\":5000,", "");
         std::fs::write(&path, text).unwrap();
-        let loaded = Journal::load(&path, "sweep", entry_from_json);
-        let (_, _, duration) = loaded
+        let loaded = Journal::load(&path);
+        let entry = loaded
             .get(&cell_fingerprint(&p, spec))
             .expect("entry still loads");
-        assert_eq!(*duration, Duration::ZERO);
+        assert_eq!(entry.duration, Duration::ZERO);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -36,8 +36,8 @@ use arvi_trace::{Trace, REPLAY_PANIC_PREFIX};
 
 use crate::harness::Spec;
 use crate::resilience::{
-    cell_fingerprint, entry_json, panic_message, run_grid, CellOutcome, CellSuccess, Degradation,
-    Journal, JournalEntry, Resilience,
+    cell_fingerprint, panic_message, run_grid, CellOutcome, CellSuccess, Degradation, Jobs,
+    Journal, Resilience, SweepIncomplete,
 };
 use crate::sweep::{SweepPoint, TraceSet};
 use crate::workload::fnv1a;
@@ -51,17 +51,65 @@ pub fn sample_plan_from_args(args: &[String]) -> Result<Option<SamplePlan>, Stri
         .transpose()
 }
 
-/// A completed sampled sweep: one [`CellOutcome`] per grid point (as the
-/// resilient runner reports), plus the per-cell [`SampleReport`] — the
-/// CI-carrying aggregate — for every cell that actually sampled
-/// (`None` for live-fallback cells and failures).
+/// A completed grid run, sampled or not: its points, one [`CellOutcome`]
+/// per point, plus the per-cell [`SampleReport`] — the CI-carrying
+/// aggregate — for every cell that actually sampled (`None` for
+/// unsampled runs, live-fallback cells and failures). Figure tables are
+/// views over it ([`crate::fig5_tables`], [`crate::Fig6Data::collect`],
+/// [`sample_ci_table`]).
 #[derive(Debug)]
 pub struct SampledSweep {
+    /// The grid points, in sweep order.
+    pub points: Vec<SweepPoint>,
     /// One outcome per grid point, in grid order.
     pub outcomes: Vec<CellOutcome>,
     /// One report per grid point, in grid order; `None` where the cell
     /// did not produce sampled estimates.
     pub reports: Vec<Option<SampleReport>>,
+}
+
+impl SampledSweep {
+    /// Where `point` sits in this sweep.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sweep did not run `point`.
+    fn index(&self, point: &SweepPoint) -> usize {
+        self.points
+            .iter()
+            .position(|p| p == point)
+            .unwrap_or_else(|| panic!("{point} is not a cell of this sweep"))
+    }
+
+    /// The results of `points` (cells of this sweep) in `points` order,
+    /// or every one of them that did not complete, named by its index
+    /// in the sweep.
+    pub(crate) fn results(
+        &self,
+        points: &[SweepPoint],
+    ) -> Result<Vec<&SimResult>, SweepIncomplete> {
+        let mut results = Vec::with_capacity(points.len());
+        let mut failed = Vec::new();
+        for point in points {
+            let i = self.index(point);
+            match &self.outcomes[i] {
+                CellOutcome::Ok(s) => results.push(&s.result),
+                other => failed.push((
+                    i,
+                    point.to_string(),
+                    other.failure().expect("non-ok outcome has a reason"),
+                )),
+            }
+        }
+        if failed.is_empty() {
+            Ok(results)
+        } else {
+            Err(SweepIncomplete {
+                total: points.len(),
+                failed,
+            })
+        }
+    }
 }
 
 /// Identity hash of one sampling unit of one cell: the cell fingerprint
@@ -105,7 +153,7 @@ pub fn run_sweep_sampled(
     run_grid(
         points,
         spec,
-        Some(plan),
+        Jobs::Sampled(plan),
         threads,
         progress,
         Some(traces),
@@ -120,13 +168,13 @@ pub(crate) fn run_unit_job(
     fp: u64,
     trace: &Arc<Trace>,
     unit: &SampleUnit,
-    prior: &HashMap<u64, JournalEntry>,
+    prior: &HashMap<u64, CellSuccess>,
     journal: Option<&Journal>,
 ) -> UnitDone {
-    if let Some((result, _, duration)) = prior.get(&fp) {
+    if let Some(s) = prior.get(&fp) {
         return UnitDone::Ok {
-            stats: result.window.clone(),
-            duration: *duration,
+            stats: s.result.window.clone(),
+            duration: s.duration,
             resumed: true,
         };
     }
@@ -141,13 +189,20 @@ pub(crate) fn run_unit_job(
             if let Some(journal) = journal {
                 // One journal entry per unit, in the cell entry format:
                 // the unit's counter block rides in the `window` field.
-                let entry = SimResult {
-                    name: intern_name(point.workload.name()),
-                    config: point.config,
-                    depth_stages: point.depth.stages(),
-                    window: stats.clone(),
+                let entry = CellSuccess {
+                    result: SimResult {
+                        name: intern_name(point.workload.name()),
+                        config: point.config,
+                        depth_stages: point.depth.stages(),
+                        window: stats.clone(),
+                    },
+                    degradation: Degradation::None,
+                    resumed: false,
+                    duration,
+                    sampled_units: 0,
+                    probes: None,
                 };
-                journal.append(fp, &entry_json(&entry, Degradation::None, duration));
+                journal.append(fp, &entry);
             }
             UnitDone::Ok {
                 stats,
@@ -229,14 +284,20 @@ pub(crate) fn assemble_cell(
             resumed: all_resumed,
             duration,
             sampled_units: units,
+            probes: None,
         }),
         Some(report),
     )
 }
 
-/// The per-cell confidence-interval table of a sampled sweep: IPC and
-/// accuracy estimates with 95% half-widths, unit counts and coverage.
-/// Cells without a report (live fallback, failures) show a dash.
+/// The confidence-interval table of a sampled sweep over `points` (cells
+/// of `sweep`), one row per point in `points` order: IPC and accuracy
+/// estimates with 95% half-widths, unit counts and coverage. Cells
+/// without a report (live fallback, failures) show a dash.
+///
+/// # Panics
+///
+/// Panics if `sweep` lacks one of `points`.
 pub fn sample_ci_table(points: &[SweepPoint], sweep: &SampledSweep) -> Table {
     let mut t = Table::new(vec![
         "workload".into(),
@@ -249,13 +310,13 @@ pub fn sample_ci_table(points: &[SweepPoint], sweep: &SampledSweep) -> Table {
         "units".into(),
         "coverage".into(),
     ]);
-    for (point, report) in points.iter().zip(&sweep.reports) {
+    for point in points {
         let mut row = vec![
             point.workload.name().to_string(),
             point.depth.to_string(),
             point.config.label().to_string(),
         ];
-        match report {
+        match &sweep.reports[sweep.index(point)] {
             Some(r) => row.extend([
                 format!("{:.4}", r.ipc.mean),
                 format!("{:.4}", r.ipc.ci_half_width()),

@@ -73,7 +73,7 @@ impl Log2Hist {
     /// Reconstructs a histogram from its serialized parts: the
     /// `(lower_bound, count)` rows of [`Log2Hist::nonzero_buckets`] plus
     /// the exact sum and max — the inverse of the JSON emission, used
-    /// when merged telemetry is restored from an obs journal. Any
+    /// when probed telemetry is restored from a sweep journal. Any
     /// in-range bound lands in the bucket that would have counted it,
     /// so round-tripping through bucket lower bounds is lossless.
     pub(crate) fn from_parts(

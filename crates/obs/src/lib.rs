@@ -31,8 +31,8 @@
 //!
 //! The crate also owns the workspace's one JSON implementation,
 //! [`Json`] (value tree, printers, parser), and the probes' JSON forms
-//! beside it in [`codec`]: lossless snapshots that obs journals and the
-//! grid rollup round-trip exactly, and the report views (counter
+//! beside it in [`codec`]: lossless snapshots that probed sweep-journal
+//! entries and the grid rollup round-trip exactly, and the report views (counter
 //! summary, top-N sites) that `--obs-out` writes. No probe renders JSON
 //! text by hand.
 

@@ -86,9 +86,8 @@ fn killed_grid_resumes_byte_identical() {
     let killed = run_obs_grid(&points, spec, 1, Some(&traces), Some(&res), false);
     assert_eq!(killed.completed, 3, "killed after 3 cells");
     assert_eq!(killed.failed.len(), points.len() - 3);
-    let obs_journal = dir.join("sweep.journal.obs");
-    let text = std::fs::read_to_string(&obs_journal).unwrap();
-    assert!(text.starts_with("# arvi obs journal v1"), "{text}");
+    let text = std::fs::read_to_string(&journal).unwrap();
+    assert!(text.starts_with("# arvi sweep journal v1"), "{text}");
     assert_eq!(text.lines().count(), 1 + 3, "header + one line per cell");
 
     // Second run resumes: journaled telemetry restored, the rest
