@@ -1,7 +1,8 @@
-//! Ablation studies of the design decisions DESIGN.md catalogues
-//! (Section "D" decisions): what each mechanism contributes to the
-//! headline result. Runs the full suite on the 20-stage machine under
-//! ARVI current value for each variant.
+//! Ablation studies of the ARVI design decisions the `ArviTuning` fields
+//! hold (D2: stale values in the index; D11: override gating; BVIT
+//! capacity): what each mechanism contributes to the headline result.
+//! Runs the full suite on the 20-stage machine under ARVI current value
+//! for each variant.
 //!
 //! Usage: `ablations [--quick]`
 

@@ -75,8 +75,9 @@ fn main() {
     let report = bench_history(&files, baseline.as_ref());
     print!("{}", report.to_markdown());
     eprintln!(
-        "bench_history: {} reports (PR{}..PR{}), {} metrics, {} flagged",
+        "bench_history: {} reports ({} not comparable), trended PR{}..PR{}, {} metrics, {} flagged",
         files.len(),
+        report.excluded.len(),
         report.prs.first().unwrap_or(&0),
         report.prs.last().unwrap_or(&0),
         report.trends.len(),

@@ -37,8 +37,8 @@
 //! 95%-confidence-interval tables) — see the `fig5` docs.
 
 use arvi_bench::{
-    collect_results, fig5_tables, handle_list_flags, maybe_obs_grid, maybe_obs_pass, paper_tables,
-    Fig6Data, Run, Workload,
+    fig5_tables, handle_list_flags, maybe_obs_grid, maybe_obs_pass, paper_tables, Fig6Data, Run,
+    Workload,
 };
 use arvi_sim::{Depth, PredictorConfig};
 
@@ -130,7 +130,7 @@ fn main() {
     // The evaluation grid's probed cells, merged (`--obs-grid`).
     maybe_obs_grid(&run, &sweep);
 
-    if let Err(incomplete) = collect_results(&sweep.points, sweep.outcomes) {
+    if let Err(incomplete) = sweep.results(&sweep.points) {
         eprintln!("{incomplete}");
         std::process::exit(3);
     }

@@ -21,7 +21,7 @@
 //!    asserted bit-identical to per-cell live emulation (the PR 2
 //!    guarantee), with the whole-sweep ns/inst.
 //! 5. **Journaled sweep** — every sweep runs fault-isolated, so the
-//!    same grid through `run_sweep_resilient` with per-cell journaling
+//!    same grid through `run_grid` with per-cell journaling
 //!    on, asserted bit-identical, measures what the journal costs
 //!    (fingerprint + journal append per cell). The JSON keeps its
 //!    `resilient_*` and `*_vs_strict_sweep` key names so the trend
@@ -34,7 +34,8 @@
 //!    already gated by the `machine_*` guardrail metrics; the probe-on
 //!    numbers document what turning telemetry on costs.
 //! 7. **Obs grid** — the PR 8 grid-scale telemetry pass: the quick
-//!    Figure-6 grid re-run through `run_obs_grid` with the full
+//!    Figure-6 grid re-run as probed jobs (`Jobs::Probed`, folded by
+//!    `ObsGrid::from_sweep`) with the full
 //!    counters + sites stack on every cell, reporting the whole-grid
 //!    probed ns/inst and the overhead vs the probe-off replayed sweep,
 //!    with the merged counter sums cross-checked against the per-cell
@@ -62,10 +63,8 @@ use std::time::Instant;
 
 use arvi_bench::baseline::ScalarTwoBcGskew;
 use arvi_bench::{
-    baseline, collect_results, grid, record_trace, run_obs_grid, run_one_traced,
-    run_sweep_emulated, run_sweep_resilient, run_sweep_sampled, run_sweep_with, threads_from_args,
-    trace_dir_from_args, trace_len, write_report, Json, Resilience, Spec, SweepPoint, TraceSet,
-    Workload,
+    baseline, grid, record_trace, run_grid, run_one_traced, threads_from_args, trace_dir_from_args,
+    trace_len, write_report, Jobs, Json, ObsGrid, Resilience, Spec, SweepPoint, TraceSet, Workload,
 };
 use arvi_bench::{conditional_branches, run_delayed, run_delayed_scalar};
 use arvi_core::{Ddt, DdtConfig, PhysReg};
@@ -428,12 +427,29 @@ fn main() {
         points.len(),
         threads
     );
+    let res = Resilience::default();
     let t0 = Instant::now();
-    let emulated = run_sweep_emulated(&points, spec, threads, false);
+    let emulated = run_grid(&points, spec, Jobs::Cells, threads, false, None, &res);
+    let emulated = emulated.results(&points).unwrap_or_else(|e| panic!("{e}"));
     let emulated_s = t0.elapsed().as_secs_f64();
-    let traces = TraceSet::record(&Workload::suite(), spec, threads, trace_dir.as_deref());
+    let traces = TraceSet::record(
+        &Workload::suite(),
+        spec,
+        threads,
+        trace_dir.as_deref(),
+        &res,
+    );
     let t0 = Instant::now();
-    let replayed = run_sweep_with(&points, spec, threads, false, &traces);
+    let replayed = run_grid(
+        &points,
+        spec,
+        Jobs::Cells,
+        threads,
+        false,
+        Some(&traces),
+        &res,
+    );
+    let replayed = replayed.results(&points).unwrap_or_else(|e| panic!("{e}"));
     let replay_s = t0.elapsed().as_secs_f64();
     for (e, r) in emulated.iter().zip(&replayed) {
         assert_eq!(
@@ -455,13 +471,22 @@ fn main() {
     let journal_path =
         std::env::temp_dir().join(format!("arvi-perf-sweep-{}.journal", std::process::id()));
     std::fs::remove_file(&journal_path).ok();
-    let res = Resilience::new().with_journal(&journal_path);
-    eprintln!("perf_report: same grid, journaled (run_sweep_resilient)...");
+    let journaled = Resilience::default().with_journal(&journal_path);
+    eprintln!("perf_report: same grid, journaled (run_grid)...");
     let t0 = Instant::now();
-    let outcomes = run_sweep_resilient(&points, spec, threads, false, Some(&traces), &res);
+    let sweep = run_grid(
+        &points,
+        spec,
+        Jobs::Cells,
+        threads,
+        false,
+        Some(&traces),
+        &journaled,
+    );
     let resilient_s = t0.elapsed().as_secs_f64();
-    let resilient =
-        collect_results(&points, outcomes).expect("resilient sweep completed every cell");
+    let resilient = sweep
+        .results(&points)
+        .expect("resilient sweep completed every cell");
     for (e, r) in replayed.iter().zip(&resilient) {
         assert_eq!(
             (e.window.cycles, e.window.committed),
@@ -491,16 +516,24 @@ fn main() {
         probe.off_ns, probe.counters_ns, probe.full_ns,
     );
 
-    // 7. Grid-scale telemetry: the same quick fig6 grid through
-    // run_obs_grid (counters + sites on every cell) vs the probe-off
-    // replayed sweep.
+    // 7. Grid-scale telemetry: the same quick fig6 grid as probed jobs
+    // (counters + sites on every cell) vs the probe-off replayed sweep.
     eprintln!(
         "perf_report: obs grid ({} cells, full counters+sites probes, {} threads)...",
         points.len(),
         threads
     );
     let t0 = Instant::now();
-    let obs_grid = run_obs_grid(&points, spec, threads, Some(&traces), None, false);
+    let sweep = run_grid(
+        &points,
+        spec,
+        Jobs::Probed,
+        threads,
+        false,
+        Some(&traces),
+        &res,
+    );
+    let obs_grid = ObsGrid::from_sweep(&sweep, spec, None);
     let obs_grid_s = t0.elapsed().as_secs_f64();
     assert_eq!(
         obs_grid.completed,
@@ -536,8 +569,17 @@ fn main() {
         "perf_report: sampled-vs-full error study ({} cells: suite + curated scenarios)...",
         err_points.len()
     );
-    let err_traces = TraceSet::record(&err_workloads, spec, threads, trace_dir.as_deref());
-    let full = run_sweep_with(&err_points, spec, threads, false, &err_traces);
+    let err_traces = TraceSet::record(&err_workloads, spec, threads, trace_dir.as_deref(), &res);
+    let full = run_grid(
+        &err_points,
+        spec,
+        Jobs::Cells,
+        threads,
+        false,
+        Some(&err_traces),
+        &res,
+    );
+    let full = full.results(&err_points).unwrap_or_else(|e| panic!("{e}"));
     let detail = (spec.measure / 40).max(1);
     // The study windows are short, so units get *full* functional
     // warming: a unit warm-up at least as long as the region means
@@ -548,7 +590,16 @@ fn main() {
     for k in [2u64, 4, 8] {
         let plan = SamplePlan::systematic(k, full_warm, detail);
         let t0 = Instant::now();
-        let sweep = run_sweep_sampled(&err_points, spec, &plan, threads, false, &err_traces, None);
+        let jobs = Jobs::Sampled(&plan);
+        let sweep = run_grid(
+            &err_points,
+            spec,
+            jobs,
+            threads,
+            false,
+            Some(&err_traces),
+            &res,
+        );
         let sampled_s = t0.elapsed().as_secs_f64();
         let mut rows = Vec::new();
         let mut covered = 0usize;

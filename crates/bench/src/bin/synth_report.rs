@@ -26,9 +26,9 @@
 use std::sync::Arc;
 
 use arvi_bench::{
-    grid, handle_list_flags, maybe_obs_pass, obs_from_args, run_sweep_with,
-    scenario_workloads_from_args, threads_from_args, trace_dir_from_args, write_report, Json, Spec,
-    TraceSet, Workload,
+    grid, handle_list_flags, maybe_obs_pass, obs_from_args, run_grid, scenario_workloads_from_args,
+    threads_from_args, trace_dir_from_args, write_report, Jobs, Json, Resilience, Spec, TraceSet,
+    Workload,
 };
 use arvi_predict::{Bimodal, DirectionPredictor, Gshare, GskewConfig, Local, TwoBcGskew};
 use arvi_sim::{Depth, PredictorConfig, SimResult};
@@ -196,9 +196,19 @@ fn main() {
     );
 
     // One recording per scenario feeds both layers and all configs.
-    let traces = TraceSet::record(&workloads, spec, threads, trace_dir.as_deref());
+    let res = Resilience::default();
+    let traces = TraceSet::record(&workloads, spec, threads, trace_dir.as_deref(), &res);
     let points = grid(&workloads, &[Depth::D20], &PredictorConfig::all());
-    let machine = run_sweep_with(&points, spec, threads, true, &traces);
+    let sweep = run_grid(
+        &points,
+        spec,
+        Jobs::Cells,
+        threads,
+        true,
+        Some(&traces),
+        &res,
+    );
+    let machine = sweep.results(&points).unwrap_or_else(|e| panic!("{e}"));
 
     let configs = PredictorConfig::all().len();
     let reports: Vec<ScenarioReport> = workloads
@@ -219,7 +229,10 @@ fn main() {
             ScenarioReport {
                 workload: workload.clone(),
                 standalone,
-                machine: machine[wi * configs..(wi + 1) * configs].to_vec(),
+                machine: machine[wi * configs..(wi + 1) * configs]
+                    .iter()
+                    .map(|&r| r.clone())
+                    .collect(),
             }
         })
         .collect();

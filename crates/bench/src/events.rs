@@ -158,15 +158,16 @@ impl SweepTelemetry {
         }
     }
 
-    /// Records (and logs) a trace quarantine.
-    pub fn quarantine(&self, file: &str, error: &str, action: &str) {
+    /// Records (and logs) a trace quarantine; the workload is then
+    /// re-recorded.
+    pub fn quarantine(&self, file: &str, error: &str) {
         self.agg.lock().unwrap().quarantines += 1;
         self.event(
             "quarantine",
             vec![
                 ("file", Json::str(file)),
                 ("error", Json::str(error)),
-                ("action", Json::str(action)),
+                ("action", Json::str("re-record")),
             ],
         );
     }
@@ -296,7 +297,7 @@ mod tests {
             Some("live-emulation"),
         );
         t.cell_finished("panicked", None, false, None);
-        t.quarantine("t.trace", "bad magic", "re-recorded");
+        t.quarantine("t.trace", "bad magic");
         t.record_phase(3, Duration::from_millis(5));
         t.sweep_finished();
         let text = t.render_prometheus();

@@ -420,8 +420,7 @@ mod tests {
             config: PredictorConfig::TwoLevelGskew,
         };
         let (r, degradation, _) =
-            crate::resilience::simulate_cell(&point, spec, None, false, arvi_obs::NullProbe)
-                .unwrap();
+            crate::resilience::simulate_cell(&point, spec, None, arvi_obs::NullProbe);
         assert_eq!(
             degradation,
             crate::Degradation::None,

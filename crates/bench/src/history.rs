@@ -16,6 +16,11 @@
 //! Files are ordered by the PR number in the *filename*, not the `pr`
 //! field inside — at least one checked-in report carries a stale field,
 //! and loading warns on stderr about every such mislabeled file.
+//!
+//! Only comparable reports are trended: those whose `quick` and
+//! `host_cores` fields equal the newest report's. A quick-mode run is
+//! never banded against full-mode runs, nor one host's core count
+//! against another's; the excluded files are named in the report.
 
 use std::path::Path;
 
@@ -60,8 +65,11 @@ pub struct MetricTrend {
 /// The full trend report over a PR history.
 #[derive(Debug)]
 pub struct HistoryReport {
-    /// PR numbers in history order.
+    /// PR numbers in history order (the trended, comparable reports).
     pub prs: Vec<u64>,
+    /// Files left out because their `quick` or `host_cores` differs
+    /// from the newest report's, in history order.
+    pub excluded: Vec<String>,
     /// One trend per guardrail key, in first-appearance order.
     pub trends: Vec<MetricTrend>,
 }
@@ -136,15 +144,23 @@ fn warn_band_of(key: &str, baseline: Option<&Json>) -> Option<f64> {
 }
 
 /// Builds the trend report: guardrail keys in first-appearance order
-/// across the PR-ordered `files`, one [`MetricTrend`] each. `baseline`
-/// (the `BENCH_BASELINE.json` document) supplies directions and warn
-/// bands when given; without it, directions are inferred from key names
-/// and the band floor is 10%.
+/// across the PR-ordered `files` whose `quick` and `host_cores` match
+/// the newest file's, one [`MetricTrend`] each. `baseline` (the
+/// `BENCH_BASELINE.json` document) supplies directions and warn bands
+/// when given; without it, directions are inferred from key names and
+/// the band floor is 10%.
 pub fn bench_history(files: &[BenchFile], baseline: Option<&Json>) -> HistoryReport {
+    fn mode(f: &BenchFile) -> (Option<&Json>, Option<&Json>) {
+        (f.json.get("quick"), f.json.get("host_cores"))
+    }
+    let newest = files.last().map(mode);
+    let (files, excluded): (Vec<&BenchFile>, Vec<&BenchFile>) =
+        files.iter().partition(|f| Some(mode(f)) == newest);
+    let excluded = excluded.into_iter().map(|f| f.file.clone()).collect();
     let prs: Vec<u64> = files.iter().map(|f| f.pr).collect();
     // Keys in first-appearance order across the history.
     let mut keys: Vec<String> = Vec::new();
-    for f in files {
+    for f in &files {
         if let Some(Json::Obj(fields)) = f.json.get("guardrail") {
             for (k, v) in fields {
                 if matches!(v, Json::Num(_)) && !keys.contains(k) {
@@ -197,7 +213,11 @@ pub fn bench_history(files: &[BenchFile], baseline: Option<&Json>) -> HistoryRep
             }
         })
         .collect();
-    HistoryReport { prs, trends }
+    HistoryReport {
+        prs,
+        excluded,
+        trends,
+    }
 }
 
 impl HistoryReport {
@@ -224,6 +244,12 @@ impl HistoryReport {
     /// with the latest change, band and verdict.
     pub fn to_markdown(&self) -> String {
         let mut out = String::from("## Bench trajectory (guardrail metrics across PRs)\n\n");
+        if !self.excluded.is_empty() {
+            out.push_str(&format!(
+                "Not trended (`quick` or `host_cores` differs from the newest report): {}\n\n",
+                self.excluded.join(", ")
+            ));
+        }
         out.push_str("| metric |");
         for pr in &self.prs {
             out.push_str(&format!(" PR{pr} |"));
@@ -430,6 +456,41 @@ mod tests {
         assert!(t.higher_is_better, "direction comes from the baseline");
         assert!((t.band_pct - 25.0).abs() < 1e-9, "warn band is the floor");
         assert!(!t.flagged, "-15% is inside the 25% band");
+    }
+
+    #[test]
+    fn quick_report_is_trended_only_against_comparable_ones() {
+        let report = |pr: u64, quick: bool, cores: u64, x: f64| BenchFile {
+            pr,
+            file: format!("BENCH_PR{pr}.json"),
+            json: Json::parse(&format!(
+                r#"{{"pr":{pr},"quick":{quick},"host_cores":{cores},"guardrail":{{"x_ns":{x}}}}}"#
+            ))
+            .unwrap(),
+        };
+        let files = vec![
+            report(4, false, 1, 10.0),
+            report(5, false, 1, 10.1),
+            report(7, true, 2, 30.0),
+            report(8, true, 1, 20.0),
+            report(9, true, 1, 20.5),
+        ];
+        let history = bench_history(&files, None);
+        assert_eq!(history.prs, vec![8, 9], "only quick, 1-core reports");
+        assert_eq!(
+            history.excluded,
+            vec!["BENCH_PR4.json", "BENCH_PR5.json", "BENCH_PR7.json"]
+        );
+        let t = &history.trends[0];
+        assert_eq!(t.series, vec![(8, Some(20.0)), (9, Some(20.5))]);
+        assert!((t.band_pct - 10.0).abs() < 1e-9, "band from PR8 alone");
+        assert!(!t.flagged);
+        let md = history.to_markdown();
+        assert!(
+            md.contains("Not trended") && md.contains("BENCH_PR4.json, BENCH_PR5.json"),
+            "{md}"
+        );
+        assert!(!md.contains("| PR4 |"), "{md}");
     }
 
     #[test]

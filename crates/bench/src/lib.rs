@@ -1,8 +1,8 @@
 //! # arvi-bench
 //!
 //! The experiment harness of the ARVI reproduction: regenerates every
-//! table and figure of the paper's evaluation (see DESIGN.md §5 for the
-//! experiment index).
+//! table and figure of the paper's evaluation. `tables` prints Tables
+//! 1–4, `fig5` Figure 5, `fig6` Figure 6, and `experiments` all of them.
 //!
 //! Binaries:
 //!
@@ -26,12 +26,14 @@
 //!   synthetic-scenario grid, emitting `BENCH_PR3.json` and a markdown
 //!   table with the paper-style separation summary.
 //!
-//! Experiment grids fan out over the workspace's one worker pool
-//! ([`arvi_sim::execute`]): every `(benchmark, depth, configuration)`
-//! cell is an independent deterministic simulation, and results are
-//! returned in grid order, so parallel sweeps are bit-identical to
-//! sequential ones. All binaries accept `--threads N` (default: all
-//! cores; `1` = sequential).
+//! Every experiment grid runs through one call, [`run_grid`]: it fans
+//! the grid's jobs ([`Jobs`]: whole cells, probed cells or sampling
+//! units) out over the workspace's one worker pool
+//! ([`arvi_sim::execute`]), isolates each cell's faults, and returns one
+//! outcome per cell in grid order ([`SampledSweep`]), so parallel sweeps
+//! are bit-identical to sequential ones. [`SampledSweep::results`]
+//! unwraps it, or names every failed cell. All binaries accept
+//! `--threads N` (default: all cores; `1` = sequential).
 //!
 //! The figure binaries (`fig5`, `fig6`, `experiments`) parse their
 //! command line once into a [`Run`] against one flag table (an unknown
@@ -91,21 +93,18 @@ pub use harness::{fig5_tables, paper_tables, run_one_traced, Fig6Data, Spec};
 pub use history::{bench_history, load_bench_history, BenchFile, HistoryReport, MetricTrend};
 pub use obs::{maybe_obs_pass, obs_from_args, run_obs_pass, ObsConfig, ObsReport, WorkloadObs};
 pub use obs_grid::{
-    attribution_diff, maybe_obs_grid, obs_grid_json, run_obs_grid, Attribution, ObsGrid, ObsGroup,
-    SiteDelta, WorkloadAttribution,
+    attribution_diff, maybe_obs_grid, obs_grid_json, Attribution, ObsGrid, ObsGroup, SiteDelta,
+    WorkloadAttribution,
 };
 pub use report::{write_report, write_text, Json};
 pub use resilience::{
-    cell_fingerprint, collect_results, run_sweep_resilient, CellOutcome, CellSuccess, Degradation,
-    FaultKind, FaultPlan, FaultyIo, Resilience, SweepIncomplete,
+    cell_fingerprint, run_grid, CellOutcome, CellSuccess, Degradation, FaultKind, FaultPlan,
+    FaultyIo, Jobs, Resilience, SweepIncomplete,
 };
-pub use sampling::{
-    run_sweep_sampled, sample_ci_table, sample_plan_from_args, unit_fingerprint, SampledSweep,
-};
+pub use sampling::{sample_ci_table, sample_plan_from_args, unit_fingerprint, SampledSweep};
 pub use sweep::{
-    default_threads, distinct_workloads, full_grid, grid, par_map, record_trace, run_sweep,
-    run_sweep_emulated, run_sweep_with, trace_file_name, trace_len, try_record_trace, SweepPoint,
-    TraceProvenance, TraceSet, TRACE_SLACK,
+    default_threads, grid, par_map, record_trace, trace_file_name, trace_len, try_record_trace,
+    SweepPoint, TraceProvenance, TraceSet, TRACE_SLACK,
 };
 pub use workload::Workload;
 
@@ -191,8 +190,7 @@ impl Run {
             );
         }
         let res = resilience_from_args(args)?;
-        let traces =
-            TraceSet::record_resilient(&workloads, spec, threads, trace_dir.as_deref(), Some(&res));
+        let traces = TraceSet::record(&workloads, spec, threads, trace_dir.as_deref(), &res);
         Ok(Run {
             workloads,
             spec,
@@ -213,11 +211,11 @@ impl Run {
     /// ([`fig5_tables`], [`Fig6Data::collect`], [`maybe_obs_grid`]).
     pub fn sweep(&self, depths: &[Depth], configs: &[PredictorConfig]) -> SampledSweep {
         let jobs = match (&self.plan, &self.obs) {
-            (Some(plan), _) => resilience::Jobs::Sampled(plan),
-            (None, Some(ObsConfig { grid: Some(_), .. })) => resilience::Jobs::Probed,
-            (None, _) => resilience::Jobs::Cells,
+            (Some(plan), _) => Jobs::Sampled(plan),
+            (None, Some(ObsConfig { grid: Some(_), .. })) => Jobs::Probed,
+            (None, _) => Jobs::Cells,
         };
-        let sweep = resilience::run_grid(
+        let sweep = run_grid(
             &grid(&self.workloads, depths, configs),
             self.spec,
             jobs,
@@ -551,7 +549,6 @@ mod tests {
     fn resilience_flags_parse() {
         let r = resilience_from_args(&args(&["--quick", "--threads", "2"])).unwrap();
         assert!(r.journal.is_none() && !r.resume && r.plan.is_none() && r.telemetry.is_none());
-        assert!(r.rerecord && r.live_fallback, "graceful defaults");
         let r = resilience_from_args(&args(&["--journal", "j.log"])).unwrap();
         assert_eq!(r.journal.as_deref(), Some(std::path::Path::new("j.log")));
         assert!(!r.resume);

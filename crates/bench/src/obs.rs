@@ -204,8 +204,7 @@ pub fn run_obs_pass(
             config,
         };
         let probe = ((CounterProbe::new(), SiteProbe::new()), tracer);
-        let (result, _, ((counters, sites), tracer)) =
-            simulate_cell(&point, spec, traces, true, probe).expect("live fallback is on");
+        let (result, _, ((counters, sites), tracer)) = simulate_cell(&point, spec, traces, probe);
         report.merged.merge(&counters);
         report.workloads.push(WorkloadObs {
             name: workload.name().to_string(),

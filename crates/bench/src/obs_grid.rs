@@ -4,13 +4,14 @@
 //! point per workload. This module promotes the probe seam to the whole
 //! grid: under `--obs-grid` the sweep's own whole-cell jobs run with the
 //! counter+site probes attached (the one grid runner,
-//! `resilience::run_grid`, so probed cells get the same panic
-//! isolation, deadline, fault plan, degradation, journal and resume as
-//! every other cell), and [`maybe_obs_grid`] folds the probed cells per
-//! `(workload, config)` group and grid-wide into one `obs_grid.json`
-//! rollup ([`obs_grid_json`]) without simulating anything. No grid is
-//! simulated twice. [`run_obs_grid`] is the same probed sweep + fold over
-//! an explicit point list.
+//! [`crate::resilience::run_grid`] with
+//! [`crate::resilience::Jobs::Probed`], so probed cells get the same
+//! panic isolation, deadline, fault plan, degradation, journal and
+//! resume as every other cell), and [`ObsGrid::from_sweep`] folds the
+//! probed cells per `(workload, config)` group and grid-wide into one
+//! rollup without simulating anything; [`obs_grid_json`] renders it as
+//! `obs_grid.json`. No grid is simulated twice. [`maybe_obs_grid`] is
+//! that fold and write for a figure binary's own sweep.
 //!
 //! A probed cell's sweep-journal entry carries its probes in the lossless
 //! codec of [`arvi_obs::codec`] ([`counters_to_json`], [`sites_to_json`]
@@ -35,9 +36,8 @@ use arvi_sim::PredictorConfig;
 use crate::events::SweepTelemetry;
 use crate::harness::Spec;
 use crate::report::{write_text, Json};
-use crate::resilience::{run_grid, CellOutcome, Jobs, Resilience};
+use crate::resilience::CellOutcome;
 use crate::sampling::SampledSweep;
-use crate::sweep::{SweepPoint, TraceSet};
 use crate::Run;
 
 /// Merged telemetry for one `(workload, config)` group of the grid
@@ -56,8 +56,8 @@ pub struct ObsGroup {
     pub sites: SiteProbe,
 }
 
-/// The output of [`run_obs_grid`]: per-group and grid-wide merges plus
-/// per-cell accounting.
+/// A probed sweep's telemetry rollup ([`ObsGrid::from_sweep`]):
+/// per-group and grid-wide merges plus per-cell accounting.
 #[derive(Debug)]
 pub struct ObsGrid {
     /// The window every cell ran under.
@@ -82,87 +82,81 @@ pub struct ObsGrid {
     pub cells_committed: Vec<Option<u64>>,
 }
 
-/// Probes every grid point (counter + site probes, always both) and
-/// merges the telemetry: the probed grid runner (with `res`'s fault
-/// plan, deadline, journal and resume; [`Resilience::default`] when
-/// `None`) followed by the same fold as [`maybe_obs_grid`]. Restored
-/// telemetry is byte-identical to re-simulated telemetry — the journal
-/// codec is full-fidelity by construction.
-pub fn run_obs_grid(
-    points: &[SweepPoint],
-    spec: Spec,
-    threads: usize,
-    traces: Option<&TraceSet>,
-    res: Option<&Resilience>,
-    progress: bool,
-) -> ObsGrid {
-    let default = Resilience::default();
-    let res = res.unwrap_or(&default);
-    let sweep = run_grid(points, spec, Jobs::Probed, threads, progress, traces, res);
-    fold(spec, &sweep, res.telemetry.as_deref())
-}
-
-/// Folds a probed sweep's cells into per-group and grid-wide merges,
-/// sequentially in point order: the rollup is deterministic regardless
-/// of which worker finished which cell first. Emits `obs_grid_end`
-/// (`dur_us` is the fold's own time).
-fn fold(spec: Spec, sweep: &SampledSweep, telemetry: Option<&SweepTelemetry>) -> ObsGrid {
-    let start = Instant::now();
-    let points = &sweep.points;
-    let mut grid = ObsGrid {
-        spec,
-        total: points.len(),
-        completed: 0,
-        resumed: 0,
-        failed: Vec::new(),
-        groups: Vec::new(),
-        counters: CounterProbe::new(),
-        sites: SiteProbe::new(),
-        cells_committed: vec![None; points.len()],
-    };
-    for (i, (point, outcome)) in points.iter().zip(&sweep.outcomes).enumerate() {
-        let CellOutcome::Ok(s) = outcome else {
-            let reason = outcome.failure().expect("non-ok outcome has a reason");
-            grid.failed.push((i, point.to_string(), reason));
-            continue;
+impl ObsGrid {
+    /// Folds a probed sweep's cells (run with
+    /// [`crate::resilience::Jobs::Probed`] under `spec`) into per-group
+    /// and grid-wide merges, sequentially in point order: the rollup is
+    /// deterministic regardless of which worker finished which cell
+    /// first, and restored telemetry is byte-identical to re-simulated
+    /// telemetry (the journal codec is full-fidelity). Simulates nothing.
+    /// Emits `obs_grid_end` on `telemetry` (`dur_us` is the fold's own
+    /// time).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a completed cell of `sweep` carries no probes.
+    pub fn from_sweep(
+        sweep: &SampledSweep,
+        spec: Spec,
+        telemetry: Option<&SweepTelemetry>,
+    ) -> ObsGrid {
+        let start = Instant::now();
+        let points = &sweep.points;
+        let mut grid = ObsGrid {
+            spec,
+            total: points.len(),
+            completed: 0,
+            resumed: 0,
+            failed: Vec::new(),
+            groups: Vec::new(),
+            counters: CounterProbe::new(),
+            sites: SiteProbe::new(),
+            cells_committed: vec![None; points.len()],
         };
-        let (counters, sites) = s.probes.as_deref().expect("probed cells carry probes");
-        grid.completed += 1;
-        grid.resumed += s.resumed as usize;
-        grid.cells_committed[i] = Some(counters.committed);
-        grid.counters.merge(counters);
-        grid.sites.merge(sites);
-        let name = point.workload.name();
-        match grid
-            .groups
-            .iter_mut()
-            .find(|g| g.workload == name && g.config == point.config)
-        {
-            Some(g) => {
-                g.cells += 1;
-                g.counters.merge(counters);
-                g.sites.merge(sites);
+        for (i, (point, outcome)) in points.iter().zip(&sweep.outcomes).enumerate() {
+            let CellOutcome::Ok(s) = outcome else {
+                let reason = outcome.failure().expect("non-ok outcome has a reason");
+                grid.failed.push((i, point.to_string(), reason));
+                continue;
+            };
+            let (counters, sites) = s.probes.as_deref().expect("probed cells carry probes");
+            grid.completed += 1;
+            grid.resumed += s.resumed as usize;
+            grid.cells_committed[i] = Some(counters.committed);
+            grid.counters.merge(counters);
+            grid.sites.merge(sites);
+            let name = point.workload.name();
+            match grid
+                .groups
+                .iter_mut()
+                .find(|g| g.workload == name && g.config == point.config)
+            {
+                Some(g) => {
+                    g.cells += 1;
+                    g.counters.merge(counters);
+                    g.sites.merge(sites);
+                }
+                None => grid.groups.push(ObsGroup {
+                    workload: name.to_string(),
+                    config: point.config,
+                    cells: 1,
+                    counters: counters.clone(),
+                    sites: sites.clone(),
+                }),
             }
-            None => grid.groups.push(ObsGroup {
-                workload: name.to_string(),
-                config: point.config,
-                cells: 1,
-                counters: counters.clone(),
-                sites: sites.clone(),
-            }),
         }
+        if let Some(t) = telemetry {
+            t.event(
+                "obs_grid_end",
+                vec![
+                    ("cells", Json::Num(grid.total as f64)),
+                    ("completed", Json::Num(grid.completed as f64)),
+                    ("dur_us", Json::Num(start.elapsed().as_micros() as f64)),
+                ],
+            );
+        }
+        grid
     }
-    if let Some(t) = telemetry {
-        t.event(
-            "obs_grid_end",
-            vec![
-                ("cells", Json::Num(grid.total as f64)),
-                ("completed", Json::Num(grid.completed as f64)),
-                ("dur_us", Json::Num(start.elapsed().as_micros() as f64)),
-            ],
-        );
-    }
-    grid
 }
 
 fn n(v: u64) -> Json {
@@ -494,7 +488,7 @@ impl Attribution {
 pub fn maybe_obs_grid(run: &Run, sweep: &SampledSweep) {
     let Some(cfg) = run.obs.as_ref() else { return };
     let Some(out) = &cfg.grid else { return };
-    let grid = fold(run.spec, sweep, run.res.telemetry.as_deref());
+    let grid = ObsGrid::from_sweep(sweep, run.spec, run.res.telemetry.as_deref());
     let json = obs_grid_json(&grid, cfg.top_sites);
     if let Err(e) = write_text(out, &(json.render_compact() + "\n")) {
         eprintln!("error: cannot write obs grid rollup: {e}");
@@ -519,7 +513,7 @@ pub fn maybe_obs_grid(run: &Run, sweep: &SampledSweep) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::resilience::FaultPlan;
+    use crate::resilience::{run_grid, FaultPlan, Jobs, Resilience};
     use crate::sweep::grid;
     use crate::workload::Workload;
     use arvi_sim::Depth;
@@ -534,8 +528,9 @@ mod tests {
         };
         let workloads = [Workload::from(Benchmark::Compress)];
         let points = grid(&workloads, &[Depth::D20], &PredictorConfig::all());
-        let res = Resilience::new().with_plan(FaultPlan::parse("panic-cell 1").unwrap());
-        let g = run_obs_grid(&points, spec, 2, None, Some(&res), false);
+        let res = Resilience::default().with_plan(FaultPlan::parse("panic-cell 1").unwrap());
+        let sweep = run_grid(&points, spec, Jobs::Probed, 2, false, None, &res);
+        let g = ObsGrid::from_sweep(&sweep, spec, res.telemetry.as_deref());
         assert_eq!(g.completed, points.len() - 1);
         let [(cell, point, reason)] = &g.failed[..] else {
             panic!("expected exactly cell 1 to fail: {:?}", g.failed);

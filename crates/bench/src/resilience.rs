@@ -2,10 +2,10 @@
 //! deterministic fault-injection harness.
 //!
 //! A full-spec grid is hours of compute; one corrupt cached trace or one
-//! panicking cell must not take the whole run down. Every sweep — plain,
-//! journaled or sampled — runs through the one grid runner here, under
-//! a [`Resilience`] policy ([`Resilience::default`] when no flag asks for
-//! more):
+//! panicking cell must not take the whole run down. Every sweep — whole
+//! cells, probed cells or sampling units ([`Jobs`]) — runs through the
+//! one grid runner here, [`run_grid`], under a [`Resilience`] policy
+//! ([`Resilience::default`] when no flag asks for more):
 //!
 //! * **Per-cell fault isolation** — every grid cell runs under
 //!   `catch_unwind` with an optional soft deadline and reports a
@@ -15,9 +15,10 @@
 //!   panic.
 //! * **Graceful degradation** — a corrupt on-disk trace is quarantined
 //!   (renamed `*.quarantined`, logged to `quarantine.log`) and
-//!   re-recorded once by [`TraceSet::record_resilient`]; if re-recording
-//!   is impossible the affected cells fall back to live emulation
-//!   through the `InstSource` seam. Replay is bit-identical to live
+//!   re-recorded once by [`TraceSet::record`]; a cell whose workload has
+//!   no usable recording (recording failed, or the trace set does not
+//!   cover it) falls back to live emulation through the `InstSource`
+//!   seam. Replay is bit-identical to live
 //!   emulation, so a degraded sweep still reports the same numbers —
 //!   the degradation is recorded in the outcome, not in the data.
 //! * **Durability** — finished jobs (whole cells or sampling units) are
@@ -45,7 +46,7 @@ use arvi_sim::{
     execute, intern_name, simulate_source_probed, PredictorConfig, SimParams, SimResult,
 };
 use arvi_stats::Accuracy;
-use arvi_trace::{StdIo, TraceError, TraceIo, TraceReplayer, REPLAY_PANIC_PREFIX};
+use arvi_trace::{StdIo, Trace, TraceError, TraceIo, TraceReplayer, REPLAY_PANIC_PREFIX};
 use arvi_workloads::WorkloadSource;
 
 use crate::events::SweepTelemetry;
@@ -64,8 +65,9 @@ pub enum Degradation {
     /// The cell's cached trace was corrupt; it was quarantined and the
     /// workload re-recorded, and the cell replayed the re-recording.
     Requarantined,
-    /// No usable trace existed (re-recording disabled or failed, or the
-    /// recording was too short); the cell fell back to live emulation.
+    /// No usable trace existed (recording failed, the trace set did not
+    /// cover the workload, or the recording was too short); the cell fell
+    /// back to live emulation.
     LiveEmulation,
 }
 
@@ -105,16 +107,15 @@ pub struct CellSuccess {
     /// by journals that predate duration tracking).
     pub duration: Duration,
     /// How many sampling units produced this result under
-    /// [`crate::sampling::run_sweep_sampled`]; `0` for a full
-    /// (unsampled) run.
+    /// [`Jobs::Sampled`]; `0` for a whole run.
     pub sampled_units: usize,
-    /// The counter and site probes the cell ran with, when its grid was
-    /// probed (`--obs-grid`, [`crate::obs_grid::run_obs_grid`]).
+    /// The counter and site probes the cell ran with, when its grid ran
+    /// [`Jobs::Probed`] (`--obs-grid`).
     pub(crate) probes: Option<Box<(CounterProbe, SiteProbe)>>,
 }
 
-/// The structured outcome of one grid cell under
-/// [`run_sweep_resilient`]: no cell failure aborts the grid.
+/// The structured outcome of one grid cell under [`run_grid`]: no cell
+/// failure aborts the grid.
 #[derive(Debug, Clone)]
 pub enum CellOutcome {
     /// The cell produced a result.
@@ -134,8 +135,8 @@ pub enum CellOutcome {
         /// The configured deadline it exceeded.
         deadline: Duration,
     },
-    /// The cell could not obtain its instruction stream (corrupt trace
-    /// with fallback disabled, recording failure, replay corruption).
+    /// The cell's instruction stream failed: a replay hit corrupt trace
+    /// data, or a sampling unit reported a trace error.
     TraceError {
         /// What went wrong.
         message: String,
@@ -171,9 +172,10 @@ impl CellOutcome {
 }
 
 /// Fault-tolerance policy for a sweep. Every sweep runs under one;
-/// [`Resilience::default`] journals nothing, injects nothing, and
-/// degrades gracefully (quarantine + re-record + live fallback all on).
-#[derive(Debug, Clone)]
+/// [`Resilience::default`] journals nothing and injects nothing. Every
+/// policy degrades gracefully: a quarantined trace is re-recorded, and a
+/// cell without a usable recording falls back to live emulation.
+#[derive(Debug, Clone, Default)]
 pub struct Resilience {
     /// Where to journal completed cells (appended as cells finish).
     pub journal: Option<PathBuf>,
@@ -186,38 +188,12 @@ pub struct Resilience {
     pub deadline: Option<Duration>,
     /// Deterministic fault plan (testing/CI only).
     pub plan: Option<Arc<FaultPlan>>,
-    /// Re-record a workload whose cached trace was quarantined
-    /// (default `true`).
-    pub rerecord: bool,
-    /// Fall back to live emulation when no usable trace exists
-    /// (default `true`); with this off such cells report
-    /// [`CellOutcome::TraceError`].
-    pub live_fallback: bool,
     /// Structured execution telemetry (event log + metrics export).
     /// Shared with the trace recorder, hence the `Arc`.
     pub telemetry: Option<Arc<SweepTelemetry>>,
 }
 
-impl Default for Resilience {
-    fn default() -> Resilience {
-        Resilience {
-            journal: None,
-            resume: false,
-            deadline: None,
-            plan: None,
-            rerecord: true,
-            live_fallback: true,
-            telemetry: None,
-        }
-    }
-}
-
 impl Resilience {
-    /// The graceful-degradation defaults ([`Resilience::default`]).
-    pub fn new() -> Resilience {
-        Resilience::default()
-    }
-
     /// Whether the fault plan's simulated kill stops dispatch now that
     /// `completed` jobs have finished.
     pub(crate) fn stop_after(&self, completed: usize) -> bool {
@@ -487,7 +463,7 @@ impl FaultPlan {
 }
 
 /// An [`arvi_trace::TraceIo`] that injects a [`FaultPlan`]'s read
-/// faults — the seam [`TraceSet::record_resilient`] reads traces
+/// faults — the seam [`TraceSet::record`] reads traces
 /// through, so fault-injection tests corrupt bytes between disk and
 /// verification without touching real files.
 #[derive(Debug)]
@@ -782,31 +758,9 @@ enum Done {
     Unit(UnitDone),
 }
 
-/// Runs every grid point with per-cell fault isolation, returning one
-/// [`CellOutcome`] per point (item order, like
-/// [`crate::sweep::run_sweep_with`]). No cell failure aborts the grid.
-///
-/// With `traces` set, cells replay shared recordings; a workload without
-/// a usable recording degrades to live emulation (or to
-/// [`CellOutcome::TraceError`] when [`Resilience::live_fallback`] is
-/// off). With a journal configured, completed cells are appended as they
-/// finish; with [`Resilience::resume`], previously journaled cells are
-/// restored without re-running — restored results are bit-identical to
-/// simulated ones, they are the simulated ones.
-pub fn run_sweep_resilient(
-    points: &[SweepPoint],
-    spec: Spec,
-    threads: usize,
-    progress: bool,
-    traces: Option<&TraceSet>,
-    res: &Resilience,
-) -> Vec<CellOutcome> {
-    run_grid(points, spec, Jobs::Cells, threads, progress, traces, res).outcomes
-}
-
 /// What the grid runner makes of each cell.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Jobs<'a> {
+pub enum Jobs<'a> {
     /// One whole, unprobed run per cell.
     Cells,
     /// One whole run per cell with `(CounterProbe, SiteProbe)` attached;
@@ -817,16 +771,24 @@ pub(crate) enum Jobs<'a> {
     Sampled(&'a SamplePlan),
 }
 
-/// The grid runner every sweep goes through: one job list on
-/// [`arvi_sim::execute`], stopped by the fault plan's simulated kill.
+/// Runs every grid point with per-cell fault isolation on up to
+/// `threads` workers of [`arvi_sim::execute`] — the one way to run a
+/// grid. Returns one [`CellOutcome`] per point in point order, whichever
+/// worker finished first; no cell failure aborts the grid, and the fault
+/// plan's simulated kill stops dispatch.
 ///
-/// Whole-cell jobs run through [`run_cell`], probed or not. Under
-/// [`Jobs::Sampled`], each cell whose workload has a usable recording
-/// becomes one job per sampling unit (journaled and resumed per unit,
-/// then aggregated in unit order); a cell without one cannot be
-/// sampled — sampling seeks, live emulation cannot — and stays a
-/// whole-run job, which degrades to live emulation like any other.
-pub(crate) fn run_grid(
+/// With `traces` set, cells replay shared recordings; a cell whose
+/// workload has no usable recording runs live as a
+/// [`Degradation::LiveEmulation`]. With `traces` `None` every cell runs
+/// live, undegraded. Under [`Jobs::Sampled`], each cell whose workload
+/// has a usable recording becomes one job per sampling unit (journaled
+/// and resumed per unit, then aggregated in unit order); a cell without
+/// one cannot be sampled — sampling seeks, live emulation cannot — and
+/// stays a whole-run job. With a journal configured, finished jobs are
+/// appended as they finish; with [`Resilience::resume`], journaled jobs
+/// are restored without re-running — restored results are
+/// bit-identical to simulated ones, they are the simulated ones.
+pub fn run_grid(
     points: &[SweepPoint],
     spec: Spec,
     jobs: Jobs,
@@ -848,10 +810,7 @@ pub(crate) fn run_grid(
         .iter()
         .map(|p| {
             let traces = traces.filter(|_| plan.is_some())?;
-            traces
-                .get(&p.workload)
-                .filter(|t| t.len() >= trace_len(spec))
-                .map(|_| replay_degradation(traces, &p.workload))
+            usable_trace(traces, &p.workload, spec).map(|(_, degradation)| degradation)
         })
         .collect();
     let mut jobs = Vec::new();
@@ -1005,13 +964,22 @@ pub(crate) fn run_grid(
     sweep
 }
 
-/// How a cell replaying `workload`'s recording obtained it: a recording
-/// that replaced a quarantined corrupt file is a degradation.
-fn replay_degradation(traces: &TraceSet, workload: &Workload) -> Degradation {
-    match traces.provenance(workload) {
+/// `workload`'s recording in `traces` when it covers
+/// [`trace_len`]`(spec)`, and how a cell replaying it obtained it: a
+/// recording that replaced a quarantined corrupt file is a degradation.
+fn usable_trace<'t>(
+    traces: &'t TraceSet,
+    workload: &Workload,
+    spec: Spec,
+) -> Option<(&'t Arc<Trace>, Degradation)> {
+    let trace = traces
+        .get(workload)
+        .filter(|t| t.len() >= trace_len(spec))?;
+    let degradation = match traces.provenance(workload) {
         Some(TraceProvenance::Rerecorded { corrupt: true }) => Degradation::Requarantined,
         _ => Degradation::None,
-    }
+    };
+    Some((trace, degradation))
 }
 
 /// The normalized outcome key used in events and metric labels.
@@ -1105,11 +1073,11 @@ fn run_cell(
         }
         if probed {
             let probe = (CounterProbe::new(), SiteProbe::new());
-            simulate_cell(point, spec, traces, res.live_fallback, probe)
-                .map(|(result, degradation, probes)| (result, degradation, Some(Box::new(probes))))
+            let (result, degradation, probes) = simulate_cell(point, spec, traces, probe);
+            (result, degradation, Some(Box::new(probes)))
         } else {
-            simulate_cell(point, spec, traces, res.live_fallback, NullProbe)
-                .map(|(result, degradation, NullProbe)| (result, degradation, None))
+            let (result, degradation, NullProbe) = simulate_cell(point, spec, traces, NullProbe);
+            (result, degradation, None)
         }
     }));
     let elapsed = start.elapsed();
@@ -1122,8 +1090,7 @@ fn run_cell(
                 CellOutcome::Panicked { message }
             }
         }
-        Ok(Err(message)) => CellOutcome::TraceError { message },
-        Ok(Ok((result, degradation, probes))) => match res.deadline {
+        Ok((result, degradation, probes)) => match res.deadline {
             Some(deadline) if elapsed > deadline => CellOutcome::TimedOut { elapsed, deadline },
             _ => CellOutcome::Ok(CellSuccess {
                 result,
@@ -1140,40 +1107,30 @@ fn run_cell(
 /// Simulates one cell with `probe` attached: replays `traces`' recording
 /// of the workload when it covers [`trace_len`]`(spec)`, and emulates
 /// live otherwise. Without a trace set live emulation is the normal path;
-/// with one it is a [`Degradation::LiveEmulation`] — or, when
-/// `live_fallback` is off, an error naming why no recording was usable.
+/// with one it is a [`Degradation::LiveEmulation`].
 pub(crate) fn simulate_cell<P: Probe>(
     point: &SweepPoint,
     spec: Spec,
     traces: Option<&TraceSet>,
-    live_fallback: bool,
     probe: P,
-) -> Result<(SimResult, Degradation, P), String> {
-    let replay = traces.map(|traces| match traces.get(&point.workload) {
-        Some(trace) if trace.len() >= trace_len(spec) => Ok((
-            TraceReplayer::new(Arc::clone(trace)),
-            replay_degradation(traces, &point.workload),
-        )),
-        Some(trace) => Err(format!(
-            "trace {} holds {} instructions but the window needs {}",
-            trace.name(),
-            trace.len(),
-            trace_len(spec)
-        )),
-        None => Err(match traces.provenance(&point.workload) {
-            Some(TraceProvenance::Unavailable { reason }) => reason.clone(),
-            _ => format!("no recording for workload {}", point.workload),
-        }),
-    });
+) -> (SimResult, Degradation, P) {
     let name = intern_name(point.workload.name());
     let params = SimParams::for_depth(point.depth);
     let (warmup, measure) = (spec.warmup, spec.measure);
+    let replay = traces.map(|traces| usable_trace(traces, &point.workload, spec));
     let ((result, probe), degradation) = match replay {
-        Some(Ok((replayer, degradation))) => (
-            simulate_source_probed(name, replayer, params, point.config, warmup, measure, probe),
+        Some(Some((trace, degradation))) => (
+            simulate_source_probed(
+                name,
+                TraceReplayer::new(Arc::clone(trace)),
+                params,
+                point.config,
+                warmup,
+                measure,
+                probe,
+            ),
             degradation,
         ),
-        Some(Err(reason)) if !live_fallback => return Err(reason),
         _ => {
             let emulator = arvi_isa::Emulator::new(point.workload.program(spec.seed));
             let degradation = match replay {
@@ -1194,7 +1151,7 @@ pub(crate) fn simulate_cell<P: Probe>(
             )
         }
     };
-    Ok((result, degradation, probe))
+    (result, degradation, probe)
 }
 
 /// Renders a caught panic payload (the `&str`/`String` payloads `panic!`
@@ -1239,36 +1196,6 @@ impl std::fmt::Display for SweepIncomplete {
 }
 
 impl std::error::Error for SweepIncomplete {}
-
-/// Unwraps a resilient sweep into plain results, or reports every
-/// failed cell. `outcomes` must be [`run_sweep_resilient`]'s output for
-/// `points`.
-pub fn collect_results(
-    points: &[SweepPoint],
-    outcomes: Vec<CellOutcome>,
-) -> Result<Vec<SimResult>, SweepIncomplete> {
-    assert_eq!(points.len(), outcomes.len(), "one outcome per point");
-    let mut results = Vec::with_capacity(outcomes.len());
-    let mut failed = Vec::new();
-    for (i, (point, outcome)) in points.iter().zip(outcomes).enumerate() {
-        match outcome {
-            CellOutcome::Ok(s) => results.push(s.result),
-            other => failed.push((
-                i,
-                point.to_string(),
-                other.failure().expect("non-ok outcome has a reason"),
-            )),
-        }
-    }
-    if failed.is_empty() {
-        Ok(results)
-    } else {
-        Err(SweepIncomplete {
-            total: points.len(),
-            failed,
-        })
-    }
-}
 
 /// One-line degradation/resume summary of a resilient sweep, or `None`
 /// when every cell ran the normal path (nothing worth reporting).
@@ -1403,7 +1330,6 @@ mod tests {
     #[test]
     fn default_policy_degrades_gracefully() {
         let res = Resilience::default();
-        assert!(res.rerecord && res.live_fallback);
         assert!(res.journal.is_none() && !res.resume && res.plan.is_none());
     }
 
@@ -1477,7 +1403,7 @@ mod tests {
 
     /// One live simulation of `p` (no trace set), probed with `probe`.
     fn simulate<P: Probe>(p: &SweepPoint, spec: Spec, probe: P) -> (SimResult, P) {
-        let (result, _, probe) = simulate_cell(p, spec, None, false, probe).unwrap();
+        let (result, _, probe) = simulate_cell(p, spec, None, probe);
         (result, probe)
     }
 

@@ -5,9 +5,13 @@
 //! [`SamplePlan`] over the cell's recorded trace: `k`-periodic units of
 //! functional warm-up + detailed measurement (see `arvi_sampling`). It is
 //! one more kind of job on the one grid runner
-//! ([`crate::resilience::run_grid`]): the job list is the *flattened*
-//! `(cell, unit)` grid, so even a single long-window cell saturates
-//! every core — intra-run parallelism the serial full run cannot have.
+//! ([`crate::resilience::run_grid`] with
+//! [`crate::resilience::Jobs::Sampled`]): the job list
+//! is the *flattened* `(cell, unit)` grid, so even a single long-window
+//! cell saturates every core — intra-run parallelism the serial full run
+//! cannot have. This module holds the unit job, the per-cell
+//! aggregation, the grid's result type ([`SampledSweep`]) and its CI
+//! table.
 //!
 //! Sampled sweeps therefore compose with the whole resilience stack:
 //!
@@ -18,7 +22,8 @@
 //! * a cell whose workload has no usable recording cannot be sampled
 //!   (sampling seeks; live emulation cannot) and runs as a whole-cell
 //!   job, falling back to a full live run reported as
-//!   [`Degradation::LiveEmulation`] with `sampled_units == 0`.
+//!   [`Degradation::LiveEmulation`] with `sampled_units == 0` (or, in a
+//!   sweep with no trace set at all, as an undegraded live run).
 //!
 //! Determinism: unit results are committed in flattened-grid order and
 //! merged with integer-exact counter sums, so a sampled sweep's results
@@ -36,10 +41,10 @@ use arvi_trace::{Trace, REPLAY_PANIC_PREFIX};
 
 use crate::harness::Spec;
 use crate::resilience::{
-    cell_fingerprint, panic_message, run_grid, CellOutcome, CellSuccess, Degradation, Jobs,
-    Journal, Resilience, SweepIncomplete,
+    cell_fingerprint, panic_message, CellOutcome, CellSuccess, Degradation, Journal,
+    SweepIncomplete,
 };
-use crate::sweep::{SweepPoint, TraceSet};
+use crate::sweep::SweepPoint;
 use crate::workload::fnv1a;
 
 /// Parses a `--sample PLAN` argument pair out of `args`
@@ -83,11 +88,12 @@ impl SampledSweep {
 
     /// The results of `points` (cells of this sweep) in `points` order,
     /// or every one of them that did not complete, named by its index
-    /// in the sweep.
-    pub(crate) fn results(
-        &self,
-        points: &[SweepPoint],
-    ) -> Result<Vec<&SimResult>, SweepIncomplete> {
+    /// in the sweep. `sweep.results(&sweep.points)` is the whole grid.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sweep did not run one of `points`.
+    pub fn results(&self, points: &[SweepPoint]) -> Result<Vec<&SimResult>, SweepIncomplete> {
         let mut results = Vec::with_capacity(points.len());
         let mut failed = Vec::new();
         for point in points {
@@ -134,31 +140,6 @@ pub(crate) enum UnitDone {
         message: String,
         trace_error: bool,
     },
-}
-
-/// Runs `plan` over every grid point, fanning the flattened
-/// `(cell, unit)` job list out over `threads` workers. See the module
-/// docs for the resilience and determinism contract.
-pub fn run_sweep_sampled(
-    points: &[SweepPoint],
-    spec: Spec,
-    plan: &SamplePlan,
-    threads: usize,
-    progress: bool,
-    traces: &TraceSet,
-    res: Option<&Resilience>,
-) -> SampledSweep {
-    let default = Resilience::default();
-    let res = res.unwrap_or(&default);
-    run_grid(
-        points,
-        spec,
-        Jobs::Sampled(plan),
-        threads,
-        progress,
-        Some(traces),
-        res,
-    )
 }
 
 /// Runs (or restores) one sampling unit of `point`, keyed `fp` in the
@@ -335,7 +316,8 @@ pub fn sample_ci_table(points: &[SweepPoint], sweep: &SampledSweep) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::grid;
+    use crate::resilience::{run_grid, Jobs, Resilience};
+    use crate::sweep::{grid, TraceSet};
     use crate::workload::Workload;
     use arvi_sim::{Depth, PredictorConfig};
     use arvi_workloads::Benchmark;
@@ -383,10 +365,12 @@ mod tests {
         let spec = tiny_spec();
         let workloads = [Workload::from(Benchmark::Compress)];
         let points = grid(&workloads, &[Depth::D20], &[PredictorConfig::ArviCurrent]);
-        let traces = TraceSet::record(&workloads, spec, 1, None);
+        let traces = TraceSet::record(&workloads, spec, 1, None, &Resilience::default());
         let plan = SamplePlan::systematic(2, 500, 1_000);
-        let one = run_sweep_sampled(&points, spec, &plan, 1, false, &traces, None);
-        let four = run_sweep_sampled(&points, spec, &plan, 4, false, &traces, None);
+        let res = Resilience::default();
+        let jobs = Jobs::Sampled(&plan);
+        let one = run_grid(&points, spec, jobs, 1, false, Some(&traces), &res);
+        let four = run_grid(&points, spec, jobs, 4, false, Some(&traces), &res);
         for sweep in [&one, &four] {
             let s = sweep.outcomes[0].success().expect("cell sampled");
             assert_eq!(s.sampled_units, 4, "8k measure / (2*1k) stride");
@@ -422,18 +406,47 @@ mod tests {
             &[Depth::D20],
             &[PredictorConfig::TwoLevelGskew],
         );
-        let traces = TraceSet::record(&recorded, spec, 1, None);
+        let traces = TraceSet::record(&recorded, spec, 1, None, &Resilience::default());
         let plan = SamplePlan::systematic(2, 500, 1_000);
-        let sweep = run_sweep_sampled(&points, spec, &plan, 2, false, &traces, None);
+        let sweep = run_grid(
+            &points,
+            spec,
+            Jobs::Sampled(&plan),
+            2,
+            false,
+            Some(&traces),
+            &Resilience::default(),
+        );
         let s = sweep.outcomes[0].success().expect("fallback ran");
         assert_eq!(s.degradation, Degradation::LiveEmulation);
         assert_eq!(s.sampled_units, 0);
         assert!(sweep.reports[0].is_none());
-        // And with fallback disabled, the same cell is a trace error.
-        let mut res = Resilience::new();
-        res.live_fallback = false;
-        let sweep = run_sweep_sampled(&points, spec, &plan, 2, false, &traces, Some(&res));
-        assert!(matches!(sweep.outcomes[0], CellOutcome::TraceError { .. }));
+    }
+
+    #[test]
+    fn sampled_jobs_without_traces_run_every_cell_whole_and_live() {
+        let spec = tiny_spec();
+        let points = grid(
+            &[Workload::from(Benchmark::Compress), Benchmark::Li.into()],
+            &[Depth::D20],
+            &[PredictorConfig::TwoLevelGskew, PredictorConfig::ArviCurrent],
+        );
+        let plan = SamplePlan::systematic(2, 500, 1_000);
+        let res = Resilience::default();
+        let sampled = run_grid(&points, spec, Jobs::Sampled(&plan), 2, false, None, &res);
+        let whole = run_grid(&points, spec, Jobs::Cells, 2, false, None, &res);
+        for (i, point) in points.iter().enumerate() {
+            let s = sampled.outcomes[i].success().expect("cell ran");
+            assert_eq!(s.degradation, Degradation::None, "{point}: no trace set");
+            assert_eq!(s.sampled_units, 0, "{point}: a whole run");
+            assert!(sampled.reports[i].is_none(), "{point}: no estimate");
+            let w = &whole.outcomes[i].success().unwrap().result.window;
+            assert_eq!(
+                format!("{:?}", s.result.window),
+                format!("{w:?}"),
+                "{point}"
+            );
+        }
     }
 
     #[test]
@@ -441,7 +454,7 @@ mod tests {
         let spec = tiny_spec();
         let workloads = [Workload::from(Benchmark::Go)];
         let points = grid(&workloads, &[Depth::D20], &[PredictorConfig::ArviCurrent]);
-        let traces = TraceSet::record(&workloads, spec, 1, None);
+        let traces = TraceSet::record(&workloads, spec, 1, None, &Resilience::default());
         let plan = SamplePlan::systematic(2, 500, 1_000);
         let dir = std::env::temp_dir().join(format!("arvi-sampled-resume-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
@@ -450,13 +463,14 @@ mod tests {
         // First run: killed after 2 of the cell's 4 units.
         let events = dir.join("events.jsonl");
         std::fs::create_dir_all(&dir).unwrap();
-        let mut res = Resilience::new()
+        let mut res = Resilience::default()
             .with_journal(&journal)
             .with_plan(crate::resilience::FaultPlan::parse("kill-after 2").unwrap());
         res.telemetry = Some(std::sync::Arc::new(
             crate::events::SweepTelemetry::from_paths(Some(&events), None).unwrap(),
         ));
-        let partial = run_sweep_sampled(&points, spec, &plan, 1, false, &traces, Some(&res));
+        let jobs = Jobs::Sampled(&plan);
+        let partial = run_grid(&points, spec, jobs, 1, false, Some(&traces), &res);
         assert!(matches!(partial.outcomes[0], CellOutcome::Skipped));
         // The cell that started still closes: one cell_start, one
         // skipped cell_end.
@@ -472,9 +486,10 @@ mod tests {
         assert!(ends[0].contains("\"outcome\":\"skipped\""), "{log}");
 
         // Resumed run completes and matches an uninterrupted run.
-        let res = Resilience::new().with_journal(&journal).resuming();
-        let resumed = run_sweep_sampled(&points, spec, &plan, 2, false, &traces, Some(&res));
-        let clean = run_sweep_sampled(&points, spec, &plan, 2, false, &traces, None);
+        let res = Resilience::default().with_journal(&journal).resuming();
+        let resumed = run_grid(&points, spec, jobs, 2, false, Some(&traces), &res);
+        let res = Resilience::default();
+        let clean = run_grid(&points, spec, jobs, 2, false, Some(&traces), &res);
         let (r, c) = (
             &resumed.outcomes[0].success().expect("completed").result,
             &clean.outcomes[0].success().unwrap().result,

@@ -1,14 +1,14 @@
-//! Multi-threaded experiment sweeps over shared recorded traces.
+//! The grid and its recordings: [`SweepPoint`]s, [`grid`], and the
+//! shared traces ([`TraceSet`]) every cell replays.
 //!
 //! The Figure-5/6 grids are embarrassingly parallel: every
 //! `(benchmark, depth, configuration)` cell is an independent,
-//! deterministic simulation. Every sweep here is a thin job-list adapter
-//! over the fault-isolated grid runner
-//! ([`crate::resilience::run_sweep_resilient`]), which fans cells out on
-//! the workspace's one worker pool ([`arvi_sim::execute`]) and returns
-//! results in *item order* regardless of which worker finished first —
-//! so a parallel sweep is bit-identical to the sequential one, just
-//! faster. [`par_map`] is the same pool for plain closures.
+//! deterministic simulation. The fault-isolated grid runner
+//! ([`crate::resilience::run_grid`]) fans cells out on the workspace's
+//! one worker pool ([`arvi_sim::execute`]) and returns results in *item
+//! order* regardless of which worker finished first — so a parallel
+//! sweep is bit-identical to the sequential one, just faster. [`par_map`]
+//! is the same pool for plain closures.
 //!
 //! Since PR 2 the grids are also **record-once / replay-many**: each
 //! distinct `(benchmark, seed, window)` workload is functionally
@@ -24,14 +24,14 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use arvi_isa::Emulator;
-use arvi_sim::{execute, Depth, PredictorConfig, SimResult};
+use arvi_sim::{execute, Depth, PredictorConfig};
 use arvi_trace::{StdIo, Trace, TraceIo, TraceReplayer};
 use arvi_workloads::WorkloadSource;
 
 use crate::events::SweepTelemetry;
 use crate::harness::Spec;
 use crate::report::Json;
-use crate::resilience::{collect_results, run_sweep_resilient, Resilience};
+use crate::resilience::Resilience;
 use crate::workload::Workload;
 
 /// Instructions recorded beyond `warmup + measure`: the machine fetches
@@ -107,9 +107,8 @@ pub enum TraceProvenance {
         /// The replaced file was corrupt (quarantined), not just stale.
         corrupt: bool,
     },
-    /// No recording could be obtained (re-recording disabled after a
-    /// quarantine, or recording itself failed); cells over this
-    /// workload must degrade to live emulation.
+    /// No recording could be obtained (recording itself failed); cells
+    /// over this workload degrade to live emulation.
     Unavailable {
         /// Why the workload has no recording.
         reason: String,
@@ -143,40 +142,27 @@ impl TraceSet {
     /// and the workload re-recorded; a stale file (wrong window) is
     /// silently re-recorded and overwritten. Writes are atomic
     /// (temp file + fsync + rename) and persistence failures only warn
-    /// (the in-memory recording still serves the sweep).
+    /// (the in-memory recording still serves the sweep). `res`'s fault
+    /// plan, if any, is injected into trace reads, and its telemetry
+    /// logs the record phase and every quarantine.
     pub fn record(
         workloads: &[Workload],
         spec: Spec,
         threads: usize,
         dir: Option<&Path>,
-    ) -> TraceSet {
-        Self::record_resilient(workloads, spec, threads, dir, None)
-    }
-
-    /// [`TraceSet::record`] under an explicit [`Resilience`] policy:
-    /// the policy's fault plan (if any) is injected into trace reads,
-    /// and `rerecord: false` leaves a quarantined workload
-    /// [`TraceProvenance::Unavailable`] instead of re-recording it.
-    pub fn record_resilient(
-        workloads: &[Workload],
-        spec: Spec,
-        threads: usize,
-        dir: Option<&Path>,
-        res: Option<&Resilience>,
+        res: &Resilience,
     ) -> TraceSet {
         if let Some(dir) = dir {
             if let Err(e) = std::fs::create_dir_all(dir) {
                 eprintln!("warning: cannot create trace dir {}: {e}", dir.display());
             }
         }
-        let plan = res.and_then(|r| r.plan.as_deref());
-        let faulty = plan.map(crate::resilience::FaultyIo::new);
+        let faulty = res.plan.as_deref().map(crate::resilience::FaultyIo::new);
         let io: &dyn TraceIo = match &faulty {
             Some(faulty) => faulty,
             None => &StdIo,
         };
-        let rerecord = res.is_none_or(|r| r.rerecord);
-        let telemetry = res.and_then(|r| r.telemetry.as_deref());
+        let telemetry = res.telemetry.as_deref();
         if let Some(t) = telemetry {
             t.event(
                 "record_start",
@@ -185,7 +171,7 @@ impl TraceSet {
         }
         let start = Instant::now();
         let traces = par_map(workloads, threads, |workload| {
-            Self::obtain(workload, spec, dir, io, rerecord, telemetry)
+            Self::obtain(workload, spec, dir, io, telemetry)
         });
         if let Some(t) = telemetry {
             t.record_phase(workloads.len(), start.elapsed());
@@ -207,7 +193,6 @@ impl TraceSet {
         spec: Spec,
         dir: Option<&Path>,
         io: &dyn TraceIo,
-        rerecord: bool,
         telemetry: Option<&SweepTelemetry>,
     ) -> (Option<Trace>, TraceProvenance) {
         let need = trace_len(spec);
@@ -239,29 +224,15 @@ impl TraceSet {
                                 path.display(),
                                 moved.display()
                             );
-                            log_quarantine(dir, path, &e, rerecord);
+                            log_quarantine(dir, path, &e);
                             if let Some(t) = telemetry {
-                                t.quarantine(
-                                    &path.display().to_string(),
-                                    &e.to_string(),
-                                    if rerecord { "re-record" } else { "degrade" },
-                                );
+                                t.quarantine(&path.display().to_string(), &e.to_string());
                             }
                         }
                         Err(qe) => eprintln!(
                             "trace {}: {e}; quarantine failed ({qe}), re-recording in place",
                             path.display()
                         ),
-                    }
-                    if !rerecord {
-                        return (
-                            None,
-                            TraceProvenance::Unavailable {
-                                reason: format!(
-                                    "quarantined corrupt trace, re-recording disabled: {e}"
-                                ),
-                            },
-                        );
                     }
                 }
                 Err(e) if path.exists() => {
@@ -300,8 +271,7 @@ impl TraceSet {
 
     /// Wall-clock time the record phase took (functional emulation
     /// and/or disk loads, across all workloads). Feeds the
-    /// record-vs-replay phase breakdown in
-    /// [`crate::resilience::timing_summary`].
+    /// record-vs-replay phase breakdown [`crate::Run::sweep`] prints.
     pub fn record_elapsed(&self) -> Duration {
         self.record_elapsed
     }
@@ -331,21 +301,16 @@ impl TraceSet {
 }
 
 /// Appends one line to `quarantine.log` in the trace directory
-/// describing a quarantined file and what the sweep did next. Best
+/// describing a quarantined file (which the sweep then re-records). Best
 /// effort: logging failures only warn.
-fn log_quarantine(dir: Option<&Path>, path: &Path, err: &arvi_trace::TraceError, rerecord: bool) {
+fn log_quarantine(dir: Option<&Path>, path: &Path, err: &arvi_trace::TraceError) {
     let Some(dir) = dir else { return };
     let log = dir.join("quarantine.log");
     let name = path
         .file_name()
         .map(|n| n.to_string_lossy().into_owned())
         .unwrap_or_else(|| path.display().to_string());
-    let action = if rerecord {
-        "re-recording"
-    } else {
-        "re-recording disabled; affected cells degrade to live emulation"
-    };
-    let line = format!("{name}: {err}; {action}\n");
+    let line = format!("{name}: {err}; re-recording\n");
     let res = std::fs::create_dir_all(dir)
         .map_err(|e| crate::report::io_error_at(dir, e))
         .and_then(|()| {
@@ -359,17 +324,6 @@ fn log_quarantine(dir: Option<&Path>, path: &Path, err: &arvi_trace::TraceError,
     if let Err(e) = res {
         eprintln!("warning: cannot append to quarantine log: {e}");
     }
-}
-
-/// The distinct workloads of a work list, in first-appearance order.
-pub fn distinct_workloads(points: &[SweepPoint]) -> Vec<Workload> {
-    let mut workloads = Vec::new();
-    for p in points {
-        if !workloads.contains(&p.workload) {
-            workloads.push(p.workload.clone());
-        }
-    }
-    workloads
 }
 
 /// Worker count to use when the caller does not care: the host's
@@ -456,75 +410,11 @@ pub fn grid(
     points
 }
 
-/// The full paper grid: every benchmark x depth x configuration.
-pub fn full_grid() -> Vec<SweepPoint> {
-    grid(&Workload::suite(), &Depth::all(), &PredictorConfig::all())
-}
-
-/// Runs every point on `threads` workers; `results[i]` corresponds to
-/// `points[i]`.
-///
-/// Record-once / replay-many: each distinct workload is emulated once
-/// into an in-memory [`TraceSet`], then all its cells replay the shared
-/// recording. Use [`run_sweep_with`] to reuse recordings across several
-/// grids (or load them from disk), and [`run_sweep_emulated`] for the
-/// pre-trace per-cell path.
-pub fn run_sweep(
-    points: &[SweepPoint],
-    spec: Spec,
-    threads: usize,
-    progress: bool,
-) -> Vec<SimResult> {
-    let traces = TraceSet::record(&distinct_workloads(points), spec, threads, None);
-    run_sweep_with(points, spec, threads, progress, &traces)
-}
-
-/// [`run_sweep`] over pre-recorded traces: the fault-isolated runner
-/// under [`Resilience::default`]. A point whose workload is missing from
-/// `traces` falls back to live emulation for that cell.
-///
-/// # Panics
-///
-/// If any cell fails, naming every failed cell.
-pub fn run_sweep_with(
-    points: &[SweepPoint],
-    spec: Spec,
-    threads: usize,
-    progress: bool,
-    traces: &TraceSet,
-) -> Vec<SimResult> {
-    let res = Resilience::default();
-    let outcomes = run_sweep_resilient(points, spec, threads, progress, Some(traces), &res);
-    collect_results(points, outcomes).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// The pre-PR2 sweep: every cell re-runs the functional emulation
-/// itself. Kept as the baseline `perf_report` measures trace sharing
-/// against, and as the reference side of the bit-identity tests.
-///
-/// # Panics
-///
-/// If any cell fails, naming every failed cell.
-pub fn run_sweep_emulated(
-    points: &[SweepPoint],
-    spec: Spec,
-    threads: usize,
-    progress: bool,
-) -> Vec<SimResult> {
-    let outcomes = run_sweep_resilient(
-        points,
-        spec,
-        threads,
-        progress,
-        None,
-        &Resilience::default(),
-    );
-    collect_results(points, outcomes).unwrap_or_else(|e| panic!("{e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resilience::{run_grid, Jobs};
+    use arvi_sim::SimResult;
     use arvi_workloads::Benchmark;
 
     #[test]
@@ -634,7 +524,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("arvi-quarantine-test-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let workloads = [Workload::from(Benchmark::Go)];
-        let clean = TraceSet::record(&workloads, spec, 1, Some(&dir));
+        let clean = TraceSet::record(&workloads, spec, 1, Some(&dir), &Resilience::default());
         assert_eq!(
             clean.provenance(&workloads[0]),
             Some(&TraceProvenance::Recorded)
@@ -646,7 +536,7 @@ mod tests {
         bytes[mid] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
 
-        let recovered = TraceSet::record(&workloads, spec, 1, Some(&dir));
+        let recovered = TraceSet::record(&workloads, spec, 1, Some(&dir), &Resilience::default());
         assert_eq!(
             recovered.provenance(&workloads[0]),
             Some(&TraceProvenance::Rerecorded { corrupt: true })
@@ -661,7 +551,7 @@ mod tests {
         let b: Vec<_> = recovered.replayer(&workloads[0]).unwrap().collect();
         assert_eq!(a, b);
         // Third run loads the healthy replacement from cache.
-        let reloaded = TraceSet::record(&workloads, spec, 1, Some(&dir));
+        let reloaded = TraceSet::record(&workloads, spec, 1, Some(&dir), &Resilience::default());
         assert_eq!(
             reloaded.provenance(&workloads[0]),
             Some(&TraceProvenance::Loaded)
@@ -670,8 +560,8 @@ mod tests {
     }
 
     #[test]
-    fn full_grid_covers_every_cell() {
-        let grid = full_grid();
+    fn paper_grid_covers_every_cell() {
+        let grid = grid(&Workload::suite(), &Depth::all(), &PredictorConfig::all());
         assert_eq!(
             grid.len(),
             Benchmark::all().len() * Depth::all().len() * PredictorConfig::all().len()
@@ -698,7 +588,7 @@ mod tests {
         ]
     }
 
-    fn assert_same_results(a: &[SimResult], b: &[SimResult]) {
+    fn assert_same_results(a: &[&SimResult], b: &[&SimResult]) {
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(b) {
             assert_eq!(x.name, y.name);
@@ -720,9 +610,15 @@ mod tests {
             seed: 42,
         };
         let points = small_points();
-        let seq = run_sweep(&points, spec, 1, false);
-        let par = run_sweep(&points, spec, 3, false);
-        assert_same_results(&seq, &par);
+        let res = Resilience::default();
+        let workloads = [Benchmark::Compress.into(), Benchmark::Li.into()];
+        let traces = TraceSet::record(&workloads, spec, 3, None, &res);
+        let seq = run_grid(&points, spec, Jobs::Cells, 1, false, Some(&traces), &res);
+        let par = run_grid(&points, spec, Jobs::Cells, 3, false, Some(&traces), &res);
+        assert_same_results(
+            &seq.results(&points).unwrap(),
+            &par.results(&points).unwrap(),
+        );
     }
 
     #[test]
@@ -733,24 +629,15 @@ mod tests {
             seed: 7,
         };
         let points = small_points();
-        let live = run_sweep_emulated(&points, spec, 2, false);
-        let traced = run_sweep(&points, spec, 2, false);
-        assert_same_results(&live, &traced);
-    }
-
-    #[test]
-    fn distinct_workloads_preserves_first_appearance_order() {
-        let mut points = small_points().to_vec();
-        points.push(SweepPoint {
-            workload: Workload::scenario("dw branch=datadep:8".parse().unwrap()),
-            depth: Depth::D20,
-            config: PredictorConfig::ArviCurrent,
-        });
-        let distinct = distinct_workloads(&points);
-        assert_eq!(distinct.len(), 3);
-        assert_eq!(distinct[0], Benchmark::Compress.into());
-        assert_eq!(distinct[1], Benchmark::Li.into());
-        assert_eq!(distinct[2].name(), "dw");
+        let res = Resilience::default();
+        let workloads = [Benchmark::Compress.into(), Benchmark::Li.into()];
+        let traces = TraceSet::record(&workloads, spec, 2, None, &res);
+        let live = run_grid(&points, spec, Jobs::Cells, 2, false, None, &res);
+        let traced = run_grid(&points, spec, Jobs::Cells, 2, false, Some(&traces), &res);
+        assert_same_results(
+            &live.results(&points).unwrap(),
+            &traced.results(&points).unwrap(),
+        );
     }
 
     #[test]
@@ -766,7 +653,13 @@ mod tests {
             measure: 50_000,
             seed: 3,
         };
-        let traces = TraceSet::record(&[Benchmark::Li.into()], small, 1, None);
+        let traces = TraceSet::record(
+            &[Benchmark::Li.into()],
+            small,
+            1,
+            None,
+            &Resilience::default(),
+        );
         let trace = traces.get(&Benchmark::Li.into()).unwrap();
         let _ =
             crate::harness::run_one_traced(trace, Depth::D20, PredictorConfig::ArviCurrent, big);
@@ -782,11 +675,11 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("arvi-sweep-test-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let workloads = [Workload::from(Benchmark::M88ksim)];
-        let recorded = TraceSet::record(&workloads, spec, 1, Some(&dir));
+        let recorded = TraceSet::record(&workloads, spec, 1, Some(&dir), &Resilience::default());
         let path = dir.join(trace_file_name(&workloads[0], spec));
         assert!(path.exists());
         // Second record() round-trips through the persisted file.
-        let reloaded = TraceSet::record(&workloads, spec, 1, Some(&dir));
+        let reloaded = TraceSet::record(&workloads, spec, 1, Some(&dir), &Resilience::default());
         let a = recorded.get(&workloads[0]).unwrap();
         let b = reloaded.get(&workloads[0]).unwrap();
         assert_eq!(a.len(), b.len());

@@ -198,7 +198,7 @@ pub mod collection {
     use rand::Rng;
     use std::ops::Range;
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: Range<usize>,

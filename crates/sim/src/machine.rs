@@ -19,7 +19,8 @@
 //! `arvi_bench::baseline::HeapMachine` and proved cycle-identical by
 //! `tests/scheduler_equivalence.rs`.
 //!
-//! Trace-driven approximations (DESIGN.md substitution 2): fetch always
+//! Trace-driven approximations (the simulator consumes a committed-path
+//! instruction stream, so it has no wrong path to fetch): fetch always
 //! follows the correct path; a mispredicted branch stalls fetch until it
 //! resolves, and a corrective level-2 override stalls fetch for the
 //! level-2 latency. Wrong-path pollution is not modeled.

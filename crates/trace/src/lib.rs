@@ -22,7 +22,7 @@
 //!   recording — **bit-identically** to the live emulation it captured.
 //! * [`Trace::write_to`] / [`Trace::read_from`] persist recordings in a
 //!   versioned container with per-chunk CRC-32 checksums and a footer
-//!   index ([`file`]); loading fully verifies the file.
+//!   index ([`mod@file`]); loading fully verifies the file.
 //!
 //! ```no_run
 //! use std::sync::Arc;

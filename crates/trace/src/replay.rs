@@ -168,8 +168,10 @@ impl Cursor {
 
 /// Borrowing reader over a [`Trace`], yielding records in order.
 ///
-/// Decodes chunk-at-a-time into a reusable buffer; see [`Cursor`] for
-/// the allocation discipline and panic conditions.
+/// Decodes chunk-at-a-time into a reusable buffer: after the first
+/// chunk, steady-state reading performs zero heap allocations. Panics
+/// (with [`crate::REPLAY_PANIC_PREFIX`]) on a chunk that fails to
+/// decode.
 #[derive(Debug)]
 pub struct TraceReader<'a> {
     trace: &'a Trace,

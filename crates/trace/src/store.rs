@@ -9,7 +9,8 @@ use crate::TraceError;
 /// Index entry for one encoded chunk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkInfo {
-    /// Byte offset of the chunk payload inside [`Trace::data`].
+    /// Byte offset of the chunk payload inside the trace's encoded
+    /// bytes.
     pub offset: u64,
     /// Payload length in bytes.
     pub len: u32,

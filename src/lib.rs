@@ -36,8 +36,9 @@
 //! bit-identical to a sequential run). See `PERFORMANCE.md` for measured
 //! numbers and `BENCH_PR1.json` for the machine-readable trail.
 //!
-//! See `README.md` for a quickstart and `DESIGN.md` for the system
-//! inventory and experiment index.
+//! See `README.md` for a quickstart; the `arvi-bench` binaries index
+//! the experiments (`tables`, `fig5`, `fig6`, `experiments`,
+//! `ablations`).
 
 pub use arvi_apps as apps;
 pub use arvi_core as core;

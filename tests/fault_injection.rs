@@ -10,9 +10,8 @@
 //! 3. A corrupt on-disk trace is quarantined (file preserved, incident
 //!    logged) and re-recorded, and the degraded sweep's numbers are
 //!    bit-identical to the healthy sweep's.
-//! 4. With re-recording disabled the affected cells fall back to live
-//!    emulation (still bit-identical) — or report a structured trace
-//!    error when live fallback is off too.
+//! 4. A cell whose workload has no recording falls back to live
+//!    emulation, bit-identically.
 //! 5. A sweep killed mid-grid resumes from its journal and the merged
 //!    results are bit-identical to an uninterrupted run, over the full
 //!    workload roster (8 suite benchmarks + 9 curated scenarios).
@@ -24,9 +23,8 @@ use arvi::sim::{Depth, PredictorConfig, SimResult};
 use arvi::trace::{quarantine_path, Trace, TraceReader};
 use arvi::workloads::Benchmark;
 use arvi_bench::{
-    collect_results, run_sweep_emulated, run_sweep_resilient, run_sweep_with, trace_file_name,
-    CellOutcome, Degradation, FaultPlan, Resilience, Spec, SweepPoint, TraceProvenance, TraceSet,
-    Workload,
+    run_grid, trace_file_name, CellOutcome, Degradation, FaultPlan, Jobs, Resilience, Spec,
+    SweepPoint, TraceProvenance, TraceSet, Workload,
 };
 use proptest::prelude::*;
 
@@ -139,10 +137,20 @@ fn small_points() -> Vec<SweepPoint> {
 fn injected_panic_is_isolated_to_its_cell() {
     let spec = tiny_spec();
     let points = small_points();
-    let clean = run_sweep_emulated(&points, spec, 1, false);
+    let clean = run_grid(
+        &points,
+        spec,
+        Jobs::Cells,
+        1,
+        false,
+        None,
+        &Resilience::default(),
+    );
+    let clean = clean.results(&points).unwrap_or_else(|e| panic!("{e}"));
 
-    let res = Resilience::new().with_plan(FaultPlan::parse("panic-cell 1").unwrap());
-    let outcomes = run_sweep_resilient(&points, spec, 1, false, None, &res);
+    let res = Resilience::default().with_plan(FaultPlan::parse("panic-cell 1").unwrap());
+    let sweep = run_grid(&points, spec, Jobs::Cells, 1, false, None, &res);
+    let outcomes = &sweep.outcomes;
     assert_eq!(outcomes.len(), points.len());
     match &outcomes[1] {
         CellOutcome::Panicked { message } => {
@@ -159,11 +167,11 @@ fn injected_panic_is_isolated_to_its_cell() {
         });
         assert_eq!(s.degradation, Degradation::None);
         assert!(!s.resumed);
-        assert_bit_identical(&s.result, &clean[i], &points[i].to_string());
+        assert_bit_identical(&s.result, clean[i], &points[i].to_string());
     }
 
     // And the failure is reported, with the resume hint.
-    let err = collect_results(&points, outcomes).unwrap_err();
+    let err = sweep.results(&points).unwrap_err();
     assert_eq!(err.total, points.len());
     assert_eq!(err.failed.len(), 1);
     assert_eq!(err.failed[0].0, 1);
@@ -174,9 +182,9 @@ fn injected_panic_is_isolated_to_its_cell() {
 fn stalled_cell_past_the_deadline_is_discarded() {
     let spec = tiny_spec();
     let points = small_points();
-    let mut res = Resilience::new().with_plan(FaultPlan::parse("stall-cell 0 600").unwrap());
+    let mut res = Resilience::default().with_plan(FaultPlan::parse("stall-cell 0 600").unwrap());
     res.deadline = Some(std::time::Duration::from_millis(250));
-    let outcomes = run_sweep_resilient(&points, spec, 1, false, None, &res);
+    let outcomes = run_grid(&points, spec, Jobs::Cells, 1, false, None, &res).outcomes;
     match &outcomes[0] {
         CellOutcome::TimedOut { elapsed, deadline } => {
             assert!(elapsed > deadline, "{elapsed:?} vs {deadline:?}")
@@ -213,17 +221,19 @@ fn corrupt_trace_is_quarantined_rerecorded_and_results_unchanged() {
         })
         .collect();
 
-    // Healthy baseline: record, persist, sweep strictly.
-    let clean = TraceSet::record(&workloads, spec, 1, Some(&dir));
+    // Healthy baseline: record, persist, sweep.
+    let healthy = Resilience::default();
+    let clean = TraceSet::record(&workloads, spec, 1, Some(&dir), &healthy);
     assert_eq!(
         clean.provenance(&workloads[0]),
         Some(&TraceProvenance::Recorded)
     );
-    let expected = run_sweep_with(&points, spec, 1, false, &clean);
+    let expected = run_grid(&points, spec, Jobs::Cells, 1, false, Some(&clean), &healthy);
+    let expected = expected.results(&points).unwrap_or_else(|e| panic!("{e}"));
 
     // Inject corruption into the next read of go's trace file.
-    let res = Resilience::new().with_plan(FaultPlan::parse("flip-chunk go 1 9").unwrap());
-    let faulted = TraceSet::record_resilient(&workloads, spec, 1, Some(&dir), Some(&res));
+    let res = Resilience::default().with_plan(FaultPlan::parse("flip-chunk go 1 9").unwrap());
+    let faulted = TraceSet::record(&workloads, spec, 1, Some(&dir), &res);
     assert_eq!(
         faulted.provenance(&workloads[0]),
         Some(&TraceProvenance::Rerecorded { corrupt: true })
@@ -235,13 +245,13 @@ fn corrupt_trace_is_quarantined_rerecorded_and_results_unchanged() {
     assert!(log.contains("go-") && log.contains("re-recording"), "{log}");
 
     // The degraded sweep reports the degradation but identical numbers.
-    let outcomes = run_sweep_resilient(&points, spec, 1, false, Some(&faulted), &res);
+    let outcomes = run_grid(&points, spec, Jobs::Cells, 1, false, Some(&faulted), &res).outcomes;
     for (i, (outcome, point)) in outcomes.iter().zip(&points).enumerate() {
         let s = outcome
             .success()
             .unwrap_or_else(|| panic!("{point}: {:?}", outcome.failure()));
         assert_eq!(s.degradation, Degradation::Requarantined, "{point}");
-        assert_bit_identical(&s.result, &expected[i], &point.to_string());
+        assert_bit_identical(&s.result, expected[i], &point.to_string());
     }
 
     // Atomic persistence never leaves temp files behind.
@@ -253,54 +263,35 @@ fn corrupt_trace_is_quarantined_rerecorded_and_results_unchanged() {
 }
 
 // ---------------------------------------------------------------------
-// 4. Re-record disabled: live fallback, or a structured trace error.
+// 4. No usable recording: live fallback.
 // ---------------------------------------------------------------------
 
 #[test]
 fn unavailable_trace_falls_back_to_live_emulation_or_reports() {
     let spec = tiny_spec();
-    let dir = temp_dir("fallback");
     let workloads = [Workload::from(Benchmark::Li)];
     let points = [SweepPoint {
         workload: workloads[0].clone(),
         depth: Depth::D20,
         config: PredictorConfig::ArviCurrent,
     }];
-    let expected = run_sweep_emulated(&points, spec, 1, false);
+    let res = Resilience::default();
+    let expected = run_grid(&points, spec, Jobs::Cells, 1, false, None, &res);
+    let expected = expected.results(&points).unwrap_or_else(|e| panic!("{e}"));
 
-    TraceSet::record(&workloads, spec, 1, Some(&dir));
-    let mut res = Resilience::new().with_plan(FaultPlan::parse("flip li 100").unwrap());
-    res.rerecord = false;
-    let traces = TraceSet::record_resilient(&workloads, spec, 1, Some(&dir), Some(&res));
-    assert!(
-        matches!(
-            traces.provenance(&workloads[0]),
-            Some(TraceProvenance::Unavailable { .. })
-        ),
-        "{:?}",
-        traces.provenance(&workloads[0])
-    );
+    // A trace set that does not cover li.
+    let traces = TraceSet::record(&[Benchmark::Compress.into()], spec, 1, None, &res);
+    assert_eq!(traces.provenance(&workloads[0]), None);
     assert!(traces.get(&workloads[0]).is_none());
 
-    // Default policy: the cell degrades to live emulation, numbers
-    // unchanged (replay is bit-identical to live, so nothing is lost).
-    let outcomes = run_sweep_resilient(&points, spec, 1, false, Some(&traces), &res);
+    // The cell degrades to live emulation, numbers unchanged (replay is
+    // bit-identical to live, so nothing is lost).
+    let outcomes = run_grid(&points, spec, Jobs::Cells, 1, false, Some(&traces), &res).outcomes;
     let s = outcomes[0]
         .success()
         .unwrap_or_else(|| panic!("{:?}", outcomes[0].failure()));
     assert_eq!(s.degradation, Degradation::LiveEmulation);
-    assert_bit_identical(&s.result, &expected[0], "live fallback");
-
-    // With live fallback off, the cell reports the missing trace.
-    res.live_fallback = false;
-    let outcomes = run_sweep_resilient(&points, spec, 1, false, Some(&traces), &res);
-    match &outcomes[0] {
-        CellOutcome::TraceError { message } => {
-            assert!(message.contains("quarantined"), "{message}")
-        }
-        other => panic!("expected TraceError, got {other:?}"),
-    }
-    std::fs::remove_dir_all(&dir).ok();
+    assert_bit_identical(&s.result, expected[0], "live fallback");
 }
 
 // ---------------------------------------------------------------------
@@ -322,16 +313,26 @@ fn killed_sweep_resumes_from_journal_bit_identically() {
             config: PredictorConfig::ArviCurrent,
         })
         .collect();
-    let clean = run_sweep_emulated(&points, spec, 1, false);
+    let clean = run_grid(
+        &points,
+        spec,
+        Jobs::Cells,
+        1,
+        false,
+        None,
+        &Resilience::default(),
+    );
+    let clean = clean.results(&points).unwrap_or_else(|e| panic!("{e}"));
 
     let dir = temp_dir("resume");
     let journal = dir.join("sweep.journal");
 
     // First run dies (deterministically) after 6 completed cells.
-    let res = Resilience::new()
+    let res = Resilience::default()
         .with_journal(&journal)
         .with_plan(FaultPlan::parse("kill-after 6").unwrap());
-    let outcomes = run_sweep_resilient(&points, spec, 1, false, None, &res);
+    let killed = run_grid(&points, spec, Jobs::Cells, 1, false, None, &res);
+    let outcomes = &killed.outcomes;
     let done = outcomes.iter().filter(|o| o.success().is_some()).count();
     let skipped = outcomes
         .iter()
@@ -339,20 +340,21 @@ fn killed_sweep_resumes_from_journal_bit_identically() {
         .count();
     assert_eq!(done, 6, "killed after 6 cells");
     assert_eq!(skipped, points.len() - 6);
-    assert!(collect_results(&points, outcomes).is_err());
+    assert!(killed.results(&points).is_err());
     let text = std::fs::read_to_string(&journal).unwrap();
     assert!(text.starts_with("# arvi sweep journal v1"), "{text}");
     assert_eq!(text.lines().count(), 1 + 6, "header + one line per cell");
 
     // Second run resumes: completed cells restored, the rest simulated.
-    let res = Resilience::new().with_journal(&journal).resuming();
-    let outcomes = run_sweep_resilient(&points, spec, 1, false, None, &res);
-    let resumed = outcomes
+    let res = Resilience::default().with_journal(&journal).resuming();
+    let sweep = run_grid(&points, spec, Jobs::Cells, 1, false, None, &res);
+    let resumed = sweep
+        .outcomes
         .iter()
         .filter(|o| o.success().is_some_and(|s| s.resumed))
         .count();
     assert_eq!(resumed, 6, "every journaled cell restored, none re-run");
-    let merged = collect_results(&points, outcomes).expect("resume completes the grid");
+    let merged = sweep.results(&points).expect("resume completes the grid");
 
     // The merged (restored + freshly simulated) results are
     // bit-identical to the uninterrupted run, cell for cell.

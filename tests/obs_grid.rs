@@ -4,7 +4,7 @@
 //!    byte-identical across worker counts (cells merge in point order,
 //!    not completion order).
 //! 2. **Resume fidelity** — a grid killed mid-run and resumed from its
-//!    obs journal renders byte-identically to an uninterrupted run
+//!    `sweep.journal` renders byte-identically to an uninterrupted run
 //!    (full-fidelity probe serialization, no run-shape fields in the
 //!    JSON).
 //! 3. **Conservation** — every group's merged counter sums equal the
@@ -22,8 +22,8 @@ use std::sync::Arc;
 use arvi::sim::{Depth, PredictorConfig};
 use arvi::workloads::Benchmark;
 use arvi_bench::{
-    attribution_diff, grid, obs_grid_json, run_obs_grid, run_sweep_resilient, FaultPlan, Json,
-    Resilience, Spec, SweepTelemetry, TraceSet, Workload,
+    attribution_diff, grid, obs_grid_json, run_grid, FaultPlan, Jobs, Json, ObsGrid, Resilience,
+    Spec, SweepTelemetry, TraceSet, Workload,
 };
 
 fn tiny_spec() -> Spec {
@@ -53,10 +53,20 @@ fn rollup_is_byte_identical_across_thread_counts() {
     let spec = tiny_spec();
     let workloads = small_workloads();
     let points = grid(&workloads, &[Depth::D20], &PredictorConfig::all());
-    let traces = TraceSet::record(&workloads, spec, 4, None);
+    let traces = TraceSet::record(&workloads, spec, 4, None, &Resilience::default());
 
     let render = |threads: usize| {
-        let g = run_obs_grid(&points, spec, threads, Some(&traces), None, false);
+        let res = Resilience::default();
+        let sweep = run_grid(
+            &points,
+            spec,
+            Jobs::Probed,
+            threads,
+            false,
+            Some(&traces),
+            &res,
+        );
+        let g = ObsGrid::from_sweep(&sweep, spec, None);
         assert_eq!(g.completed, points.len(), "failed cells: {:?}", g.failed);
         obs_grid_json(&g, 5).render()
     };
@@ -70,20 +80,23 @@ fn killed_grid_resumes_byte_identical() {
     let spec = tiny_spec();
     let workloads = small_workloads();
     let points = grid(&workloads, &[Depth::D20], &PredictorConfig::all());
-    let traces = TraceSet::record(&workloads, spec, 4, None);
+    let traces = TraceSet::record(&workloads, spec, 4, None, &Resilience::default());
     let dir = temp_dir("resume");
     let journal = dir.join("sweep.journal");
 
     // Reference: one uninterrupted, journal-free run.
-    let direct = run_obs_grid(&points, spec, 1, Some(&traces), None, false);
+    let res = Resilience::default();
+    let sweep = run_grid(&points, spec, Jobs::Probed, 1, false, Some(&traces), &res);
+    let direct = ObsGrid::from_sweep(&sweep, spec, None);
     let direct_json = obs_grid_json(&direct, 5).render();
 
-    // First run dies after 3 completed cells; its obs journal keeps
+    // First run dies after 3 completed cells; its sweep.journal keeps
     // the finished telemetry.
-    let res = Resilience::new()
+    let res = Resilience::default()
         .with_journal(&journal)
         .with_plan(FaultPlan::parse("kill-after 3").unwrap());
-    let killed = run_obs_grid(&points, spec, 1, Some(&traces), Some(&res), false);
+    let sweep = run_grid(&points, spec, Jobs::Probed, 1, false, Some(&traces), &res);
+    let killed = ObsGrid::from_sweep(&sweep, spec, None);
     assert_eq!(killed.completed, 3, "killed after 3 cells");
     assert_eq!(killed.failed.len(), points.len() - 3);
     let text = std::fs::read_to_string(&journal).unwrap();
@@ -92,8 +105,9 @@ fn killed_grid_resumes_byte_identical() {
 
     // Second run resumes: journaled telemetry restored, the rest
     // simulated — and the rollup is byte-identical to the direct run.
-    let res = Resilience::new().with_journal(&journal).resuming();
-    let resumed = run_obs_grid(&points, spec, 1, Some(&traces), Some(&res), false);
+    let res = Resilience::default().with_journal(&journal).resuming();
+    let sweep = run_grid(&points, spec, Jobs::Probed, 1, false, Some(&traces), &res);
+    let resumed = ObsGrid::from_sweep(&sweep, spec, None);
     assert_eq!(resumed.completed, points.len());
     assert_eq!(resumed.resumed, 3, "every journaled cell restored");
     assert_eq!(
@@ -109,8 +123,10 @@ fn merged_counter_sums_equal_per_cell_sums_over_the_suite() {
     let spec = tiny_spec();
     let workloads = Workload::suite();
     let points = grid(&workloads, &[Depth::D20], &PredictorConfig::all());
-    let traces = TraceSet::record(&workloads, spec, 4, None);
-    let g = run_obs_grid(&points, spec, 4, Some(&traces), None, false);
+    let traces = TraceSet::record(&workloads, spec, 4, None, &Resilience::default());
+    let res = Resilience::default();
+    let sweep = run_grid(&points, spec, Jobs::Probed, 4, false, Some(&traces), &res);
+    let g = ObsGrid::from_sweep(&sweep, spec, None);
     assert_eq!(g.completed, points.len(), "failed cells: {:?}", g.failed);
     assert_eq!(
         g.groups.len(),
@@ -167,7 +183,9 @@ fn attribution_names_sites_arvi_fixes_on_datadep() {
         &[Depth::D20],
         &[PredictorConfig::TwoLevelGskew, PredictorConfig::ArviCurrent],
     );
-    let g = run_obs_grid(&points, spec, 1, None, None, false);
+    let res = Resilience::default();
+    let sweep = run_grid(&points, spec, Jobs::Probed, 1, false, None, &res);
+    let g = ObsGrid::from_sweep(&sweep, spec, None);
     assert_eq!(g.completed, points.len(), "failed cells: {:?}", g.failed);
 
     let json = obs_grid_json(&g, 10);
@@ -212,12 +230,14 @@ fn events_jsonl_and_metrics_export_from_a_resilient_sweep() {
     let events_path = dir.join("logs/events.jsonl");
     let metrics_path = dir.join("logs/metrics.prom");
 
-    let mut res = Resilience::new();
-    res.telemetry = Some(Arc::new(
-        SweepTelemetry::from_paths(Some(&events_path), Some(&metrics_path)).unwrap(),
-    ));
-    let traces = TraceSet::record(&workloads, spec, 2, None);
-    let outcomes = run_sweep_resilient(&points, spec, 2, false, Some(&traces), &res);
+    let res = Resilience {
+        telemetry: Some(Arc::new(
+            SweepTelemetry::from_paths(Some(&events_path), Some(&metrics_path)).unwrap(),
+        )),
+        ..Resilience::default()
+    };
+    let traces = TraceSet::record(&workloads, spec, 2, None, &Resilience::default());
+    let outcomes = run_grid(&points, spec, Jobs::Cells, 2, false, Some(&traces), &res).outcomes;
     assert!(outcomes.iter().all(|o| o.success().is_some()));
 
     // Every line is a JSON object with a monotonic-origin timestamp and

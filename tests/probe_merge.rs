@@ -1,6 +1,6 @@
 //! Property tests for the probe merge algebra behind the grid rollup.
 //!
-//! `run_obs_grid` folds per-cell probes into per-`(workload, config)`
+//! `ObsGrid::from_sweep` folds per-cell probes into per-`(workload, config)`
 //! groups and a grid-wide total, and the resume path rebuilds probes
 //! from journaled JSON before merging — so the merges must behave like
 //! the telemetry was recorded in one sitting, regardless of how the

@@ -26,8 +26,8 @@ use arvi::sim::{Depth, MachineStats, PredictorConfig, SimParams};
 use arvi::trace::Trace;
 use arvi::workloads::Benchmark;
 use arvi_bench::{
-    grid, run_sweep_sampled, sample_ci_table, FaultPlan, Resilience, SampledSweep, Spec,
-    SweepPoint, TraceSet, Workload,
+    grid, run_grid, sample_ci_table, FaultPlan, Jobs, Resilience, SampledSweep, Spec, SweepPoint,
+    TraceSet, Workload,
 };
 use proptest::prelude::*;
 
@@ -210,16 +210,19 @@ fn sampled_sweep_fingerprint_is_identical_across_threads_and_resume() {
         &[Depth::D20],
         &[PredictorConfig::TwoLevelGskew, PredictorConfig::ArviCurrent],
     );
-    let traces = TraceSet::record(&workloads, spec, 2, None);
+    let traces = TraceSet::record(&workloads, spec, 2, None, &Resilience::default());
     let plan = SamplePlan::systematic(2, 500, 1_000);
+    let jobs = Jobs::Sampled(&plan);
 
     // Thread invariance: the full fingerprint, not just one counter.
     let reference = {
-        let sweep = run_sweep_sampled(&points, spec, &plan, 1, false, &traces, None);
+        let res = Resilience::default();
+        let sweep = run_grid(&points, spec, jobs, 1, false, Some(&traces), &res);
         sweep_fingerprint(&points, &sweep)
     };
     for threads in [4, 8] {
-        let sweep = run_sweep_sampled(&points, spec, &plan, threads, false, &traces, None);
+        let res = Resilience::default();
+        let sweep = run_grid(&points, spec, jobs, threads, false, Some(&traces), &res);
         assert_eq!(
             sweep_fingerprint(&points, &sweep),
             reference,
@@ -234,17 +237,17 @@ fn sampled_sweep_fingerprint_is_identical_across_threads_and_resume() {
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
     let journal = dir.join("sweep.journal");
-    let res = Resilience::new()
+    let res = Resilience::default()
         .with_journal(&journal)
         .with_plan(FaultPlan::parse("kill-after 3").unwrap());
-    let killed = run_sweep_sampled(&points, spec, &plan, 1, false, &traces, Some(&res));
+    let killed = run_grid(&points, spec, jobs, 1, false, Some(&traces), &res);
     assert!(
         killed.outcomes.iter().any(|o| o.success().is_none()),
         "the kill must leave unfinished cells behind"
     );
 
-    let res = Resilience::new().with_journal(&journal).resuming();
-    let resumed = run_sweep_sampled(&points, spec, &plan, 4, false, &traces, Some(&res));
+    let res = Resilience::default().with_journal(&journal).resuming();
+    let resumed = run_grid(&points, spec, jobs, 4, false, Some(&traces), &res);
     assert_eq!(
         sweep_fingerprint(&points, &resumed),
         reference,

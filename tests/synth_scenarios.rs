@@ -11,7 +11,7 @@
 
 use arvi::sim::{Depth, PredictorConfig};
 use arvi::synth::{record_trace, ScenarioSpec};
-use arvi_bench::{grid, run_sweep, trace_file_name, Spec, TraceSet, Workload};
+use arvi_bench::{grid, run_grid, trace_file_name, Jobs, Resilience, Spec, TraceSet, Workload};
 use proptest::prelude::*;
 
 #[test]
@@ -26,7 +26,10 @@ fn datadep_beats_baseline_and_bias_converges() {
         Workload::scenario("steady branch=bias:100".parse().unwrap()),
     ];
     let points = grid(&workloads, &[Depth::D20], &PredictorConfig::all());
-    let results = run_sweep(&points, spec, 2, false);
+    let res = Resilience::default();
+    let traces = TraceSet::record(&workloads, spec, 2, None, &res);
+    let sweep = run_grid(&points, spec, Jobs::Cells, 2, false, Some(&traces), &res);
+    let results = sweep.results(&points).unwrap_or_else(|e| panic!("{e}"));
     let configs = PredictorConfig::all().len();
 
     // Data-dependent branches: seeded-random replay of a small value
@@ -82,9 +85,10 @@ fn scenario_traces_are_bit_identical_across_runs_and_thread_counts() {
     let base = std::env::temp_dir().join(format!("arvi-synth-det-{}", std::process::id()));
     std::fs::remove_dir_all(&base).ok();
     let dirs = [base.join("t1"), base.join("t4"), base.join("t1-again")];
-    TraceSet::record(&workloads, spec, 1, Some(&dirs[0]));
-    TraceSet::record(&workloads, spec, 4, Some(&dirs[1]));
-    TraceSet::record(&workloads, spec, 1, Some(&dirs[2]));
+    let res = Resilience::default();
+    TraceSet::record(&workloads, spec, 1, Some(&dirs[0]), &res);
+    TraceSet::record(&workloads, spec, 4, Some(&dirs[1]), &res);
+    TraceSet::record(&workloads, spec, 1, Some(&dirs[2]), &res);
 
     for w in &workloads {
         let file = trace_file_name(w, spec);

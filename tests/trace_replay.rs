@@ -9,10 +9,10 @@
 //!    configuration cell of the paper grid.
 
 use arvi::isa::{BranchInfo, DynInst, Emulator, InstKind, Reg};
-use arvi::sim::MachineStats;
+use arvi::sim::{Depth, MachineStats, PredictorConfig};
 use arvi::trace::{Trace, TraceError, TraceReader, TraceWriter};
 use arvi::workloads::Benchmark;
-use arvi_bench::{full_grid, run_sweep, run_sweep_emulated, Spec};
+use arvi_bench::{grid, run_grid, Jobs, Resilience, Spec, TraceSet, Workload};
 use proptest::prelude::*;
 
 fn reg() -> impl Strategy<Value = Reg> {
@@ -183,9 +183,14 @@ fn replay_is_bit_identical_across_the_full_grid() {
         measure: 5_000,
         seed: 42,
     };
-    let points = full_grid();
-    let live = run_sweep_emulated(&points, spec, 2, false);
-    let traced = run_sweep(&points, spec, 2, false);
+    let workloads = Workload::suite();
+    let points = grid(&workloads, &Depth::all(), &PredictorConfig::all());
+    let res = Resilience::default();
+    let traces = TraceSet::record(&workloads, spec, 2, None, &res);
+    let live = run_grid(&points, spec, Jobs::Cells, 2, false, None, &res);
+    let live = live.results(&points).unwrap_or_else(|e| panic!("{e}"));
+    let traced = run_grid(&points, spec, Jobs::Cells, 2, false, Some(&traces), &res);
+    let traced = traced.results(&points).unwrap_or_else(|e| panic!("{e}"));
     assert_eq!(live.len(), traced.len());
     for ((p, l), t) in points.iter().zip(&live).zip(&traced) {
         assert_eq!(l.name, t.name);
