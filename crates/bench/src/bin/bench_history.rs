@@ -23,18 +23,18 @@
 
 use std::path::Path;
 
-use arvi_bench::{bench_history, load_bench_history, write_text, Json};
-
-fn arg_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
+use arvi_bench::{bench_history, flag_value, load_bench_history, write_text, Json};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let dir = arg_value(&args, "--dir").unwrap_or(".");
+    let arg = |flag: &str| {
+        flag_value(&args, flag).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        })
+    };
+    let dir = arg("--dir").map_or(".", String::as_str);
+    let (explicit_baseline, out) = (arg("--baseline"), arg("--out"));
     let files = load_bench_history(Path::new(dir)).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(2);
@@ -56,8 +56,8 @@ fn main() {
         }
     }
 
-    let baseline_path = arg_value(&args, "--baseline")
-        .map(String::from)
+    let baseline_path = explicit_baseline
+        .cloned()
         .unwrap_or_else(|| format!("{dir}/BENCH_BASELINE.json"));
     let baseline = match std::fs::read_to_string(&baseline_path) {
         Ok(text) => Some(Json::parse(&text).unwrap_or_else(|e| {
@@ -65,7 +65,7 @@ fn main() {
             std::process::exit(2);
         })),
         // The default baseline is best-effort; an explicit one must load.
-        Err(e) if arg_value(&args, "--baseline").is_some() => {
+        Err(e) if explicit_baseline.is_some() => {
             eprintln!("error: cannot read {baseline_path}: {e}");
             std::process::exit(2);
         }
@@ -83,7 +83,7 @@ fn main() {
         report.trends.len(),
         report.regressions().count()
     );
-    if let Some(out) = arg_value(&args, "--out") {
+    if let Some(out) = out {
         if let Err(e) = write_text(Path::new(out), &report.to_json().render()) {
             eprintln!("error: cannot write trend report: {e}");
             std::process::exit(1);

@@ -5,7 +5,7 @@
 //!                     [--sample K:WARMUP:DETAIL]
 //!                     [--scenario NAME_OR_SPEC]... [--scenario-file FILE]
 //!                     [--journal FILE] [--resume] [--fault-plan FILE]
-//!                     [--deadline-ms N] [--events-out FILE] [--metrics-out FILE]
+//!                     [--deadline-ms N] [--events-out FILE]
 //!                     [--probe counters,sites,trace] [--obs-out FILE]
 //!                     [--obs-grid FILE] [--trace-cycles START:END] [--top-sites N]
 //!                     [--list-scenarios] [--list-benchmarks]`
@@ -16,8 +16,8 @@
 //! and site probes and writes their merged per-`(workload, config)`
 //! rollup — the input for `obs_report`'s attribution diff; no cell is
 //! simulated twice, and it does not combine with `--sample` (exit 2).
-//! `--events-out` / `--metrics-out` stream structured sweep events
-//! (JSONL) and a Prometheus-style metrics snapshot from the sweep.
+//! `--events-out` streams structured sweep events (JSONL) from the
+//! sweep.
 //!
 //! Each workload is functionally emulated exactly once (per run — or
 //! once ever with `--trace-dir`), then every cell replays the shared

@@ -5,7 +5,7 @@
 //!              [--sample K:WARMUP:DETAIL]
 //!              [--scenario NAME_OR_SPEC]... [--scenario-file FILE]
 //!              [--journal FILE] [--resume] [--fault-plan FILE]
-//!              [--deadline-ms N] [--events-out FILE] [--metrics-out FILE]
+//!              [--deadline-ms N] [--events-out FILE]
 //!              [--probe counters,sites,trace] [--obs-out FILE]
 //!              [--obs-grid FILE] [--trace-cycles START:END] [--top-sites N]
 //!              [--list-scenarios] [--list-benchmarks]`

@@ -14,22 +14,21 @@
 
 use std::path::Path;
 
-use arvi_bench::{attribution_diff, write_text, Json};
-
-fn arg_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
+use arvi_bench::{attribution_diff, flag_value, write_text, Json};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(grid_path) = arg_value(&args, "--grid") else {
+    let arg = |flag: &str| {
+        flag_value(&args, flag).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        })
+    };
+    let Some(grid_path) = arg("--grid") else {
         eprintln!("usage: obs_report --grid obs_grid.json [--top N] [--out FILE]");
         std::process::exit(2);
     };
-    let top = match arg_value(&args, "--top") {
+    let top = match arg("--top") {
         None => 10,
         Some(n) => n.parse::<usize>().unwrap_or_else(|_| {
             eprintln!("error: --top expects a count, got `{n}`");
@@ -51,7 +50,7 @@ fn main() {
     });
 
     print!("{}", attribution.to_markdown());
-    if let Some(out) = arg_value(&args, "--out") {
+    if let Some(out) = arg("--out") {
         let json = attribution.to_json().render();
         if let Err(e) = write_text(Path::new(out), &json) {
             eprintln!("error: cannot write attribution report: {e}");

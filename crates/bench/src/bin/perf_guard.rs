@@ -26,17 +26,10 @@
 //! baseline comparison does.
 //!
 //! Regenerate the baseline after an intentional perf change:
-//! `cargo run --release -p arvi-bench --bin perf_report -- --quick`,
+//! `cargo run --release -p arvi-bench --bin perf_report -- --quick --out F.json`,
 //! then copy the `guardrail` values into `BENCH_BASELINE.json`.
 
-use arvi_bench::{evaluate_guardrail, trend_flags, Json};
-
-fn arg_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
+use arvi_bench::{evaluate_guardrail, flag_value, trend_flags, Json};
 
 fn load(path: &str) -> Json {
     let text = std::fs::read_to_string(path)
@@ -46,11 +39,17 @@ fn load(path: &str) -> Json {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let report_path = arg_value(&args, "--report").unwrap_or_else(|| {
+    let arg = |flag: &str| {
+        flag_value(&args, flag).unwrap_or_else(|e| {
+            eprintln!("perf_guard: {e}");
+            std::process::exit(2);
+        })
+    };
+    let report_path = arg("--report").unwrap_or_else(|| {
         eprintln!("usage: perf_guard --report PATH [--baseline PATH] [--trends PATH]");
         std::process::exit(2);
     });
-    let baseline_path = arg_value(&args, "--baseline").unwrap_or("BENCH_BASELINE.json");
+    let baseline_path = arg("--baseline").map_or("BENCH_BASELINE.json", String::as_str);
 
     let report = load(report_path);
     let baseline = load(baseline_path);
@@ -60,7 +59,7 @@ fn main() {
     });
 
     print!("{}", outcome.to_markdown(report_path, baseline_path));
-    if let Some(trends_path) = arg_value(&args, "--trends") {
+    if let Some(trends_path) = arg("--trends") {
         let flags = trend_flags(&load(trends_path));
         println!("\n### Trend advisories ({trends_path}, non-gating)\n");
         if flags.is_empty() {

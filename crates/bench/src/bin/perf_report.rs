@@ -1,101 +1,134 @@
 //! Performance report: quantifies the hot paths against their preserved
-//! baselines and emits a machine-readable `BENCH_PR9.json` so the perf
-//! trajectory is tracked PR over PR (`BENCH_PR1.json`–`BENCH_PR8.json`
-//! preserve the earlier trails; `bench_history` renders the whole
-//! trajectory with noise-band regression flags).
+//! baselines, in the same process, and writes the machine-readable
+//! `--out` report. Named `BENCH_PR<N>.json` at the repo root, the
+//! report is a ledger entry: its `"pr"` field is taken from that name,
+//! and `bench_history` trends the whole `BENCH_PR*.json` trail with
+//! noise-band regression flags.
+//!
+//! Every timed comparison runs through one interleaved loop (each side
+//! once per pass, for a fixed number of passes) that keeps each side's
+//! min and max. A printed overhead stands beside its spread (the wider
+//! side's max − min, as a percent of its min) and reads `unresolved`
+//! when it is smaller than that spread.
 //!
 //! 1. **Branch-path micro** — ns per branch of the packed-counter,
 //!    index-carrying 2Bc-gskew vs the preserved scalar
 //!    `arvi_bench::baseline::ScalarTwoBcGskew` over the same recorded
-//!    m88ksim branch stream (delayed-update protocol, interleaved
-//!    best-of-3, with a stream-identity assertion) — the PR 5 trail.
+//!    m88ksim branch stream (delayed-update protocol, warm tables, with
+//!    a stream-identity assertion) and over a table-pressure stream.
 //! 2. **Machine micro** — ns per committed instruction of the wheel
 //!    machine vs `arvi_bench::baseline::HeapMachine` replaying the same
-//!    m88ksim recording (interleaved best-of-3 per side, with a
-//!    cycle-identity assertion), for the pure timing path
-//!    (2-level gskew) and the ARVI path.
-//! 3. **DDT micro** — steady-state insert+commit and deep chain read of
-//!    `arvi_core::Ddt` vs the preserved `NaiveDdt` (the PR 1 trail,
-//!    kept hot so the guardrail watches both hot paths).
+//!    m88ksim recording, for the pure timing path (2-level gskew) and
+//!    the ARVI path. The ARVI loop also times the wheel machine with
+//!    the zero-alloc `CounterProbe` and with the full obs stack
+//!    (counters + per-site attribution) attached: what turning
+//!    telemetry on costs. Every side's figures are asserted identical.
+//! 3. **DDT micro** — steady-state insert+commit of `arvi_core::Ddt`
+//!    vs the preserved `NaiveDdt` (paper shape).
 //! 4. **Sweep** — the quick Figure-6 grid replayed over shared traces,
-//!    asserted bit-identical to per-cell live emulation (the PR 2
-//!    guarantee), with the whole-sweep ns/inst.
-//! 5. **Journaled sweep** — every sweep runs fault-isolated, so the
-//!    same grid through `run_grid` with per-cell journaling
-//!    on, asserted bit-identical, measures what the journal costs
-//!    (fingerprint + journal append per cell). The JSON keeps its
-//!    `resilient_*` and `*_vs_strict_sweep` key names so the trend
-//!    history stays continuous.
-//! 6. **Probe overhead** — the PR 7 observability seam: the ARVI
-//!    machine timed probe-off (`NullProbe`, what every sweep runs) vs
-//!    with the zero-alloc `CounterProbe` attached vs the full obs stack
-//!    (counters + per-site attribution), interleaved best-of-3, with
-//!    bit-identity asserted between all sides. Probe-off cost is
-//!    already gated by the `machine_*` guardrail metrics; the probe-on
-//!    numbers document what turning telemetry on costs.
-//! 7. **Obs grid** — the PR 8 grid-scale telemetry pass: the quick
-//!    Figure-6 grid re-run as probed jobs (`Jobs::Probed`, folded by
-//!    `ObsGrid::from_sweep`) with the full
-//!    counters + sites stack on every cell, reporting the whole-grid
-//!    probed ns/inst and the overhead vs the probe-off replayed sweep,
-//!    with the merged counter sums cross-checked against the per-cell
-//!    commit counts.
-//! 8. **Sampled simulation** — the PR 9 interval-sampling path. An
-//!    honest error study: the 8-benchmark suite plus the 9 curated
-//!    synthetic scenarios (20-stage, ARVI current value), each cell
-//!    estimated by SMARTS-style systematic sampling at 1-in-{2,4,8}
-//!    rates and compared against its full-run ground truth — per-cell
-//!    IPC/accuracy relative error and 95%-CI coverage go into the JSON.
-//!    Then the speedup measurement the sampling exists for: one long
-//!    single-cell window (the stationary history-3 scenario) run
-//!    full-length serially vs sampled at 1-in-8 with per-unit fan-out
-//!    over all cores, reporting the wall-clock speedup and the IPC
-//!    error it costs (both gated by the guardrail).
+//!    with the whole-sweep ns/inst.
+//! 5. **Sampled simulation** — an error study: the 8-benchmark suite
+//!    plus the 9 curated synthetic scenarios (20-stage, ARVI current
+//!    value), each cell estimated by SMARTS-style systematic sampling at
+//!    1-in-{2,4,8} rates and compared against its full-run ground truth
+//!    (per-cell IPC/accuracy relative error and 95%-CI coverage). Then
+//!    one long single-cell window (the stationary history-3 scenario)
+//!    run full-length serially vs sampled at 1-in-8 with per-unit
+//!    fan-out over all cores: the wall-clock speedup and the IPC error
+//!    it costs.
 //!
 //! The `guardrail` section of the JSON is the flat metric set
 //! `perf_guard` compares against the checked-in `BENCH_BASELINE.json`
 //! in CI.
 //!
-//! Usage: `perf_report [--quick] [--threads N] [--trace-dir DIR] [--out PATH]`
+//! Usage: `perf_report --out PATH [--quick] [--threads N] [--trace-dir DIR]`
+//! (`--out` is required; a missing or flag-like value exits 2).
 
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
 use arvi_bench::baseline::ScalarTwoBcGskew;
 use arvi_bench::{
-    baseline, grid, record_trace, run_grid, run_one_traced, threads_from_args, trace_dir_from_args,
-    trace_len, write_report, Jobs, Json, ObsGrid, Resilience, Spec, SweepPoint, TraceSet, Workload,
+    baseline, bench_file_pr, flag_value, grid, record_trace, run_grid, run_one_traced,
+    threads_from_args, trace_dir_from_args, trace_len, write_report, Jobs, Json, Resilience, Spec,
+    TraceSet, Workload,
 };
 use arvi_bench::{conditional_branches, run_delayed, run_delayed_scalar};
 use arvi_core::{Ddt, DdtConfig, PhysReg};
-use arvi_obs::{CounterProbe, SiteProbe};
+use arvi_obs::{CounterProbe, NullProbe, Probe, SiteProbe};
 use arvi_predict::{GskewConfig, TwoBcGskew};
 use arvi_sampling::{sample_region, SamplePlan};
-use arvi_sim::{
-    intern_name, simulate_source, simulate_source_probed, Depth, PredictorConfig, SimParams,
-};
+use arvi_sim::{intern_name, simulate_source_probed, Depth, PredictorConfig, SimParams, SimResult};
 use arvi_trace::{Trace, TraceReplayer};
 use arvi_workloads::Benchmark;
 
-struct MachineSide {
-    wheel_ns: f64,
-    heap_ns: f64,
+/// One side's wall-clock range, in seconds, over the passes of
+/// [`interleaved`].
+#[derive(Clone, Copy, Debug)]
+struct Span {
+    min: f64,
+    max: f64,
 }
 
-struct BranchSide {
-    packed_ns: f64,
-    scalar_ns: f64,
+/// The first `N` sides' mins as ns per unit of work, over `units` units.
+fn ns_per<const N: usize>(spans: &[Span], units: usize) -> [f64; N] {
+    std::array::from_fn(|i| spans[i].min * 1e9 / units as f64)
+}
+
+/// The one timing loop: runs every side once per pass, in order, for
+/// `reps` passes — strict alternation, so host drift hits every side
+/// alike — and returns each side's min and max wall time.
+fn interleaved(reps: u32, sides: &mut [&mut dyn FnMut()]) -> Vec<Span> {
+    let mut spans = vec![
+        Span {
+            min: f64::INFINITY,
+            max: 0.0,
+        };
+        sides.len()
+    ];
+    for _ in 0..reps {
+        for (side, span) in sides.iter_mut().zip(&mut spans) {
+            let t0 = Instant::now();
+            side();
+            let s = t0.elapsed().as_secs_f64();
+            span.min = span.min.min(s);
+            span.max = span.max.max(s);
+        }
+    }
+    spans
+}
+
+/// `side`'s change against `reference` in percent of the reference's
+/// min, and the spread it must beat: the wider of the two sides'
+/// max − min, each as a percent of its own min.
+fn change_and_spread(side: Span, reference: Span) -> (f64, f64) {
+    let spread = |s: Span| (s.max - s.min) / s.min * 100.0;
+    (
+        (side.min / reference.min - 1.0) * 100.0,
+        spread(side).max(spread(reference)),
+    )
+}
+
+/// [`change_and_spread`] as printed: the change beside its spread, or
+/// `unresolved` when the change is smaller than the spread.
+fn versus(side: Span, reference: Span) -> String {
+    let (change, spread) = change_and_spread(side, reference);
+    if change.abs() < spread {
+        format!("unresolved, spread {spread:.1}%")
+    } else {
+        format!("{change:+.1}%, spread {spread:.1}%")
+    }
 }
 
 /// Times the packed vs scalar 2Bc-gskew (level-2 size) through the
 /// machine-shaped delayed-update protocol ([`arvi_bench::run_delayed`])
 /// over the same branch stream: both sides are trained over the stream
-/// once (warm, steady-state tables), then timed over alternating
-/// whole-stream passes (min of `reps` per side, pairwise interleaved
-/// against host drift). The warm pass asserts the two sides' predicted
+/// once (warm, steady-state tables), then timed over `reps` alternating
+/// whole-stream passes. The warm pass asserts the two sides' predicted
 /// direction *streams* identical (order-sensitive hash, not just the
-/// aggregate accuracy count).
-fn branch_micro(stream: &[(u64, bool)], window: usize, reps: u32) -> BranchSide {
+/// aggregate accuracy count). Returns `[packed, scalar]`.
+fn branch_micro(stream: &[(u64, bool)], window: usize, reps: u32) -> Vec<Span> {
     // Warm pass doubles as the stream-identity assertion.
     let mut packed = TwoBcGskew::new(GskewConfig::level2());
     let mut scalar = ScalarTwoBcGskew::new(GskewConfig::level2());
@@ -105,23 +138,17 @@ fn branch_micro(stream: &[(u64, bool)], window: usize, reps: u32) -> BranchSide 
         p0, s0,
         "packed gskew diverged from the scalar baseline on the branch stream"
     );
-
-    let mut packed_s = f64::INFINITY;
-    let mut scalar_s = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        std::hint::black_box(run_delayed(&mut packed, stream, window));
-        packed_s = packed_s.min(t0.elapsed().as_secs_f64());
-
-        let t0 = Instant::now();
-        std::hint::black_box(run_delayed_scalar(&mut scalar, stream, window));
-        scalar_s = scalar_s.min(t0.elapsed().as_secs_f64());
-    }
-    let n = stream.len().max(1) as f64;
-    BranchSide {
-        packed_ns: packed_s * 1e9 / n,
-        scalar_ns: scalar_s * 1e9 / n,
-    }
+    interleaved(
+        reps,
+        &mut [
+            &mut || {
+                std::hint::black_box(run_delayed(&mut packed, stream, window));
+            },
+            &mut || {
+                std::hint::black_box(run_delayed_scalar(&mut scalar, stream, window));
+            },
+        ],
+    )
 }
 
 /// A synthetic table-pressure stream: `sites` distinct branch PCs in
@@ -144,227 +171,171 @@ fn pressure_stream(sites: u64, len: usize) -> Vec<(u64, bool)> {
         .collect()
 }
 
-/// Times one predictor configuration through both machines over a shared
-/// recording (interleaved so host drift hits both sides equally) and
-/// asserts the two produce identical figures.
-fn machine_micro(trace: &Arc<Trace>, config: PredictorConfig, spec: Spec) -> MachineSide {
-    let insts = (spec.warmup + spec.measure) as f64;
-    let name = intern_name(trace.name());
-    let mut wheel_s = f64::INFINITY;
-    let mut heap_s = f64::INFINITY;
-    let mut wheel_window = None;
-    let mut heap_window = None;
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        let w = simulate_source(
-            name,
-            TraceReplayer::new(Arc::clone(trace)),
-            SimParams::for_depth(Depth::D20),
-            config,
-            spec.warmup,
-            spec.measure,
-        );
-        wheel_s = wheel_s.min(t0.elapsed().as_secs_f64());
-        wheel_window = Some(w.window);
+/// The figures two machine runs must agree on.
+type Figures = (u64, u64, u64, u64);
 
-        let t0 = Instant::now();
-        let h = baseline::simulate_source_heap(
-            name,
+fn figures(r: &SimResult) -> Figures {
+    let w = &r.window;
+    (
+        w.cycles,
+        w.committed,
+        w.cond_branches.correct(),
+        w.overrides,
+    )
+}
+
+/// One wheel-machine run of `config` over `trace` with `probe` attached
+/// (`NullProbe` is the probe-off machine every sweep runs).
+fn wheel_run<P: Probe>(
+    trace: &Arc<Trace>,
+    config: PredictorConfig,
+    spec: Spec,
+    probe: P,
+) -> Figures {
+    let (r, probe) = simulate_source_probed(
+        intern_name(trace.name()),
+        TraceReplayer::new(Arc::clone(trace)),
+        SimParams::for_depth(Depth::D20),
+        config,
+        spec.warmup,
+        spec.measure,
+        probe,
+    );
+    std::hint::black_box(probe);
+    figures(&r)
+}
+
+/// Times one predictor configuration over a shared recording: the
+/// wheel machine and the preserved heap baseline, plus — when `probed`
+/// — the wheel machine with the `CounterProbe` and with counters +
+/// sites attached, all in one interleaved loop. Asserts every side's
+/// figures identical. Returns `[wheel, heap]`, then `[counters, full]`
+/// when probed.
+fn machine_micro(
+    trace: &Arc<Trace>,
+    config: PredictorConfig,
+    spec: Spec,
+    reps: u32,
+    probed: bool,
+) -> Vec<Span> {
+    let (mut wheel, mut heap, mut counters, mut full) = (None, None, None, None);
+    let mut run_wheel = || wheel = Some(wheel_run(trace, config, spec, NullProbe));
+    let mut run_heap = || {
+        heap = Some(figures(&baseline::simulate_source_heap(
+            trace.name(),
             TraceReplayer::new(Arc::clone(trace)),
             SimParams::for_depth(Depth::D20),
             config,
             spec.warmup,
             spec.measure,
-        );
-        heap_s = heap_s.min(t0.elapsed().as_secs_f64());
-        heap_window = Some(h.window);
+        )));
+    };
+    let mut run_counters = || counters = Some(wheel_run(trace, config, spec, CounterProbe::new()));
+    let mut run_full = || {
+        full = Some(wheel_run(
+            trace,
+            config,
+            spec,
+            (CounterProbe::new(), SiteProbe::new()),
+        ));
+    };
+    let mut sides: Vec<&mut dyn FnMut()> = vec![&mut run_wheel, &mut run_heap];
+    if probed {
+        sides.push(&mut run_counters);
+        sides.push(&mut run_full);
     }
-    let (w, h) = (wheel_window.unwrap(), heap_window.unwrap());
+    let spans = interleaved(reps, &mut sides);
+    let name = trace.name();
     assert_eq!(
-        (
-            w.cycles,
-            w.committed,
-            w.cond_branches.correct(),
-            w.overrides
-        ),
-        (
-            h.cycles,
-            h.committed,
-            h.cond_branches.correct(),
-            h.overrides
-        ),
+        wheel, heap,
         "wheel machine diverged from heap baseline on {name} / {config}"
     );
-    MachineSide {
-        wheel_ns: wheel_s * 1e9 / insts,
-        heap_ns: heap_s * 1e9 / insts,
-    }
-}
-
-struct ProbeSide {
-    off_ns: f64,
-    counters_ns: f64,
-    full_ns: f64,
-}
-
-/// Times the ARVI machine over a shared recording three ways — probe-off
-/// (`NullProbe`), with the `CounterProbe` attached, and with the full
-/// counters + per-site stack — interleaved so host drift hits all sides
-/// equally, asserting every side produces identical figures.
-fn probe_micro(trace: &Arc<Trace>, spec: Spec) -> ProbeSide {
-    let insts = (spec.warmup + spec.measure) as f64;
-    let name = intern_name(trace.name());
-    let params = || SimParams::for_depth(Depth::D20);
-    let config = PredictorConfig::ArviCurrent;
-    let mut off_s = f64::INFINITY;
-    let mut counters_s = f64::INFINITY;
-    let mut full_s = f64::INFINITY;
-    let mut off_window = None;
-    let mut full_window = None;
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        let off = simulate_source(
-            name,
-            TraceReplayer::new(Arc::clone(trace)),
-            params(),
-            config,
-            spec.warmup,
-            spec.measure,
+    if probed {
+        assert_eq!(
+            (wheel, wheel),
+            (counters, full),
+            "probed machine diverged from the probe-off machine on {name} / {config}"
         );
-        off_s = off_s.min(t0.elapsed().as_secs_f64());
-        off_window = Some(off.window);
-
-        let t0 = Instant::now();
-        let (_, probe) = simulate_source_probed(
-            name,
-            TraceReplayer::new(Arc::clone(trace)),
-            params(),
-            config,
-            spec.warmup,
-            spec.measure,
-            CounterProbe::new(),
-        );
-        counters_s = counters_s.min(t0.elapsed().as_secs_f64());
-        std::hint::black_box(probe.cycles);
-
-        let t0 = Instant::now();
-        let (full, probe) = simulate_source_probed(
-            name,
-            TraceReplayer::new(Arc::clone(trace)),
-            params(),
-            config,
-            spec.warmup,
-            spec.measure,
-            (CounterProbe::new(), SiteProbe::new()),
-        );
-        full_s = full_s.min(t0.elapsed().as_secs_f64());
-        std::hint::black_box(probe.1.sites);
-        full_window = Some(full.window);
     }
-    let (o, f) = (off_window.unwrap(), full_window.unwrap());
-    assert_eq!(
-        (o.cycles, o.committed, o.cond_branches.correct()),
-        (f.cycles, f.committed, f.cond_branches.correct()),
-        "probed machine diverged from the probe-off machine on {name}"
-    );
-    ProbeSide {
-        off_ns: off_s * 1e9 / insts,
-        counters_ns: counters_s * 1e9 / insts,
-        full_ns: full_s * 1e9 / insts,
-    }
-}
-
-struct DdtSide {
-    fast_ns: f64,
-    naive_ns: f64,
+    spans
 }
 
 /// Steady-state insert+commit cost of the optimized DDT vs the preserved
-/// allocating baseline (paper shape: 256 slots x 320 registers).
-fn ddt_micro(iters: u32) -> DdtSide {
+/// allocating baseline (paper shape: 256 slots x 320 registers), over
+/// `reps` alternating passes of `iters` inserts. Returns `[fast, naive]`.
+fn ddt_micro(iters: u32, reps: u32) -> Vec<Span> {
     let cfg = DdtConfig {
         slots: 256,
         phys_regs: 320,
     };
     let dest = |i: u32| PhysReg(32 + (i % 280) as u16);
-
     let mut fast = Ddt::new(cfg);
     let mut naive = baseline::NaiveDdt::new(cfg);
-    let mut fast_s = f64::INFINITY;
-    let mut naive_s = f64::INFINITY;
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        for i in 0..iters {
-            if fast.is_full() {
-                fast.commit_oldest();
-            }
-            std::hint::black_box(fast.insert(Some(dest(i)), [Some(dest(i + 1)), None]));
-        }
-        fast_s = fast_s.min(t0.elapsed().as_secs_f64());
-
-        let t0 = Instant::now();
-        for i in 0..iters {
-            if naive.is_full() {
-                naive.commit_oldest();
-            }
-            std::hint::black_box(naive.insert(Some(dest(i)), [Some(dest(i + 1)), None]));
-        }
-        naive_s = naive_s.min(t0.elapsed().as_secs_f64());
-    }
-    DdtSide {
-        fast_ns: fast_s * 1e9 / iters as f64,
-        naive_ns: naive_s * 1e9 / iters as f64,
-    }
+    interleaved(
+        reps,
+        &mut [
+            &mut || {
+                for i in 0..iters {
+                    if fast.is_full() {
+                        fast.commit_oldest();
+                    }
+                    std::hint::black_box(fast.insert(Some(dest(i)), [Some(dest(i + 1)), None]));
+                }
+            },
+            &mut || {
+                for i in 0..iters {
+                    if naive.is_full() {
+                        naive.commit_oldest();
+                    }
+                    std::hint::black_box(naive.insert(Some(dest(i)), [Some(dest(i + 1)), None]));
+                }
+            },
+        ],
+    )
 }
 
-/// The quick Figure-6 grid: every benchmark x configuration at 20
-/// stages.
-fn fig6_points() -> Vec<SweepPoint> {
-    grid(&Workload::suite(), &[Depth::D20], &PredictorConfig::all())
+/// The report's leading fields: the PR number when `out` is named
+/// `BENCH_PR<N>.json` (a ledger entry), then the host and mode.
+fn report_header(out: &Path, quick: bool) -> Vec<(&'static str, Json)> {
+    let cores = arvi_bench::default_threads() as f64;
+    let mut header = vec![
+        ("host_cores", Json::Num(cores)),
+        ("quick", Json::Bool(quick)),
+    ];
+    if let Some(pr) = out
+        .file_name()
+        .and_then(|n| bench_file_pr(&n.to_string_lossy()))
+    {
+        header.insert(0, ("pr", Json::Num(pr as f64)));
+    }
+    header
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let (threads, trace_dir) = threads_from_args(&args)
-        .and_then(|threads| Ok((threads, trace_dir_from_args(&args)?)))
+    let (threads, trace_dir, out_path) = threads_from_args(&args)
+        .and_then(|threads| {
+            let out = flag_value(&args, "--out")?
+                .ok_or("--out PATH is required (the ledger name is BENCH_PR<N>.json)")?;
+            Ok((threads, trace_dir_from_args(&args)?, PathBuf::from(out)))
+        })
         .unwrap_or_else(|e| {
             eprintln!("error: {e}");
             std::process::exit(2);
         });
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-        .unwrap_or("BENCH_PR9.json")
-        .to_string();
 
-    let (spec, micro_spec, ddt_iters) = if quick {
-        (
-            Spec {
-                warmup: 5_000,
-                measure: 15_000,
-                seed: 42,
-            },
-            Spec {
-                warmup: 10_000,
-                measure: 90_000,
-                seed: 42,
-            },
-            400_000,
-        )
-    } else {
-        (
-            Spec::quick(),
-            Spec {
-                warmup: 20_000,
-                measure: 280_000,
-                seed: 42,
-            },
-            2_000_000,
-        )
+    let window = |warmup, measure| Spec {
+        warmup,
+        measure,
+        seed: 42,
     };
+    let (spec, micro_spec, ddt_iters) = if quick {
+        (window(5_000, 15_000), window(10_000, 90_000), 400_000)
+    } else {
+        (Spec::quick(), window(20_000, 280_000), 2_000_000)
+    };
+    let reps = if quick { 7 } else { 15 };
 
     // 1. Branch-path micro: packed vs preserved scalar predictor, over
     // the recorded m88ksim stream and a table-pressure stream.
@@ -372,66 +343,84 @@ fn main() {
         &Workload::from(Benchmark::M88ksim),
         micro_spec,
     ));
-    let reps = if quick { 7 } else { 15 };
     eprintln!(
-        "perf_report: branch-path micro (packed vs scalar 2Bc-gskew, warm tables, min of {reps} alternating passes)..."
+        "perf_report: branch-path micro (packed vs scalar 2Bc-gskew, warm tables, {reps} interleaved passes)..."
     );
-    let branch = branch_micro(&conditional_branches(&trace), 8, reps);
+    let stream = conditional_branches(&trace);
+    let branch = branch_micro(&stream, 8, reps);
+    let [packed_ns, scalar_ns] = ns_per(&branch, stream.len());
     eprintln!(
-        "  m88ksim stream: packed {:.1} ns/branch vs scalar {:.1} ns/branch ({:.2}x); streams identical",
-        branch.packed_ns,
-        branch.scalar_ns,
-        branch.scalar_ns / branch.packed_ns,
+        "  m88ksim stream: packed {packed_ns:.1} ns/branch vs scalar {scalar_ns:.1} ns/branch \
+         (scalar {}); streams identical",
+        versus(branch[1], branch[0]),
     );
-    let pressure = branch_micro(&pressure_stream(60_000, 200_000), 8, reps);
+    let stream = pressure_stream(60_000, 200_000);
+    let pressure = branch_micro(&stream, 8, reps);
+    let [pressure_packed_ns, pressure_scalar_ns] = ns_per(&pressure, stream.len());
     eprintln!(
-        "  pressure stream (60k sites): packed {:.1} ns/branch vs scalar {:.1} ns/branch ({:.2}x)",
-        pressure.packed_ns,
-        pressure.scalar_ns,
-        pressure.scalar_ns / pressure.packed_ns,
+        "  pressure stream (60k sites): packed {pressure_packed_ns:.1} ns/branch vs scalar \
+         {pressure_scalar_ns:.1} ns/branch (scalar {})",
+        versus(pressure[1], pressure[0]),
     );
 
-    // 2. Machine micro: wheel vs preserved heap baseline.
+    // 2. Machine micro: wheel vs preserved heap baseline; the ARVI loop
+    // also times the probed machine.
+    let insts = (micro_spec.warmup + micro_spec.measure) as usize;
     eprintln!(
-        "perf_report: machine micro (m88ksim, {} insts, wheel vs heap, best of 3 interleaved)...",
+        "perf_report: machine micro (m88ksim, {} insts, wheel vs heap, ARVI also probed, {reps} interleaved passes)...",
         trace_len(micro_spec)
     );
-    let gskew = machine_micro(&trace, PredictorConfig::TwoLevelGskew, micro_spec);
-    let arvi = machine_micro(&trace, PredictorConfig::ArviCurrent, micro_spec);
+    let gskew = machine_micro(
+        &trace,
+        PredictorConfig::TwoLevelGskew,
+        micro_spec,
+        reps,
+        false,
+    );
+    let arvi = machine_micro(&trace, PredictorConfig::ArviCurrent, micro_spec, reps, true);
+    let gskew_ns: [f64; 2] = ns_per(&gskew, insts);
+    let arvi_ns: [f64; 4] = ns_per(&arvi, insts);
     eprintln!(
-        "  gskew: wheel {:.0} ns/inst vs heap {:.0} ns/inst ({:.2}x) | \
-         arvi: wheel {:.0} vs heap {:.0} ({:.2}x); figures identical",
-        gskew.wheel_ns,
-        gskew.heap_ns,
-        gskew.heap_ns / gskew.wheel_ns,
-        arvi.wheel_ns,
-        arvi.heap_ns,
-        arvi.heap_ns / arvi.wheel_ns,
+        "  gskew: wheel {:.0} ns/inst vs heap {:.0} ns/inst (heap {}) | \
+         arvi: wheel {:.0} vs heap {:.0} (heap {}); figures identical",
+        gskew_ns[0],
+        gskew_ns[1],
+        versus(gskew[1], gskew[0]),
+        arvi_ns[0],
+        arvi_ns[1],
+        versus(arvi[1], arvi[0]),
+    );
+    let (counters_overhead_pct, counters_spread_pct) = change_and_spread(arvi[2], arvi[0]);
+    let (full_overhead_pct, full_spread_pct) = change_and_spread(arvi[3], arvi[0]);
+    eprintln!(
+        "  arvi probes: counters {:.0} ns/inst ({}) | counters+sites {:.0} ns/inst ({}); \
+         figures identical to probe-off",
+        arvi_ns[2],
+        versus(arvi[2], arvi[0]),
+        arvi_ns[3],
+        versus(arvi[3], arvi[0]),
     );
 
     // 3. DDT micro: optimized vs preserved naive baseline.
-    eprintln!("perf_report: DDT micro ({ddt_iters} steady-state insert+commit iters)...");
-    let ddt = ddt_micro(ddt_iters);
     eprintln!(
-        "  insert+commit: fast {:.1} ns vs naive {:.1} ns ({:.2}x)",
-        ddt.fast_ns,
-        ddt.naive_ns,
-        ddt.naive_ns / ddt.fast_ns
+        "perf_report: DDT micro ({ddt_iters} steady-state insert+commit iters, {reps} interleaved passes)..."
+    );
+    let ddt = ddt_micro(ddt_iters, reps);
+    let [ddt_fast_ns, ddt_naive_ns] = ns_per(&ddt, ddt_iters as usize);
+    eprintln!(
+        "  insert+commit: fast {ddt_fast_ns:.1} ns vs naive {ddt_naive_ns:.1} ns (naive {})",
+        versus(ddt[1], ddt[0]),
     );
 
-    // 4. Quick fig6 sweep, replayed over shared traces, asserted
-    // bit-identical to per-cell emulation.
-    let points = fig6_points();
+    // 4. The quick Figure-6 grid (every benchmark x configuration at 20
+    // stages), replayed over shared traces.
+    let points = grid(&Workload::suite(), &[Depth::D20], &PredictorConfig::all());
     eprintln!(
-        "perf_report: quick fig6 grid ({} cells, {} threads): replay vs per-cell emulation...",
+        "perf_report: quick fig6 grid ({} cells, {} threads), replayed...",
         points.len(),
         threads
     );
     let res = Resilience::default();
-    let t0 = Instant::now();
-    let emulated = run_grid(&points, spec, Jobs::Cells, threads, false, None, &res);
-    let emulated = emulated.results(&points).unwrap_or_else(|e| panic!("{e}"));
-    let emulated_s = t0.elapsed().as_secs_f64();
     let traces = TraceSet::record(
         &Workload::suite(),
         spec,
@@ -440,7 +429,7 @@ fn main() {
         &res,
     );
     let t0 = Instant::now();
-    let replayed = run_grid(
+    run_grid(
         &points,
         spec,
         Jobs::Cells,
@@ -448,112 +437,15 @@ fn main() {
         false,
         Some(&traces),
         &res,
-    );
-    let replayed = replayed.results(&points).unwrap_or_else(|e| panic!("{e}"));
+    )
+    .results(&points)
+    .unwrap_or_else(|e| panic!("{e}"));
     let replay_s = t0.elapsed().as_secs_f64();
-    for (e, r) in emulated.iter().zip(&replayed) {
-        assert_eq!(
-            (e.window.cycles, e.window.committed),
-            (r.window.cycles, r.window.committed),
-            "trace replay diverged from live emulation on {} / {}",
-            e.name,
-            e.config
-        );
-    }
     let sweep_insts = (points.len() as u64 * (spec.warmup + spec.measure)) as f64;
     let sweep_ns = replay_s * 1e9 / sweep_insts;
-    eprintln!(
-        "  replayed sweep {replay_s:.2} s ({sweep_ns:.0} ns/inst overall) vs emulated {emulated_s:.2} s; bit-identical"
-    );
+    eprintln!("  replayed sweep {replay_s:.2} s ({sweep_ns:.0} ns/inst overall)");
 
-    // 5. The same grid with per-cell journaling on: what does the
-    // journal cost on the happy path?
-    let journal_path =
-        std::env::temp_dir().join(format!("arvi-perf-sweep-{}.journal", std::process::id()));
-    std::fs::remove_file(&journal_path).ok();
-    let journaled = Resilience::default().with_journal(&journal_path);
-    eprintln!("perf_report: same grid, journaled (run_grid)...");
-    let t0 = Instant::now();
-    let sweep = run_grid(
-        &points,
-        spec,
-        Jobs::Cells,
-        threads,
-        false,
-        Some(&traces),
-        &journaled,
-    );
-    let resilient_s = t0.elapsed().as_secs_f64();
-    let resilient = sweep
-        .results(&points)
-        .expect("resilient sweep completed every cell");
-    for (e, r) in replayed.iter().zip(&resilient) {
-        assert_eq!(
-            (e.window.cycles, e.window.committed),
-            (r.window.cycles, r.window.committed),
-            "journaled sweep diverged from the unjournaled sweep on {} / {}",
-            e.name,
-            e.config
-        );
-    }
-    std::fs::remove_file(&journal_path).ok();
-    let resilient_overhead_pct = (resilient_s - replay_s) / replay_s * 100.0;
-    eprintln!(
-        "  journaled sweep {resilient_s:.2} s vs unjournaled {replay_s:.2} s \
-         ({resilient_overhead_pct:+.1}% overhead); bit-identical"
-    );
-
-    // 6. Probe overhead: the observability seam probe-off vs probe-on.
-    eprintln!(
-        "perf_report: probe overhead (ARVI machine, m88ksim, off vs counters vs counters+sites, best of 3 interleaved)..."
-    );
-    let probe = probe_micro(&trace, micro_spec);
-    let counters_overhead_pct = (probe.counters_ns - probe.off_ns) / probe.off_ns * 100.0;
-    let full_overhead_pct = (probe.full_ns - probe.off_ns) / probe.off_ns * 100.0;
-    eprintln!(
-        "  probe-off {:.0} ns/inst | counters {:.0} ns/inst ({counters_overhead_pct:+.1}%) | \
-         counters+sites {:.0} ns/inst ({full_overhead_pct:+.1}%); figures identical",
-        probe.off_ns, probe.counters_ns, probe.full_ns,
-    );
-
-    // 7. Grid-scale telemetry: the same quick fig6 grid as probed jobs
-    // (counters + sites on every cell) vs the probe-off replayed sweep.
-    eprintln!(
-        "perf_report: obs grid ({} cells, full counters+sites probes, {} threads)...",
-        points.len(),
-        threads
-    );
-    let t0 = Instant::now();
-    let sweep = run_grid(
-        &points,
-        spec,
-        Jobs::Probed,
-        threads,
-        false,
-        Some(&traces),
-        &res,
-    );
-    let obs_grid = ObsGrid::from_sweep(&sweep, spec, None);
-    let obs_grid_s = t0.elapsed().as_secs_f64();
-    assert_eq!(
-        obs_grid.completed,
-        points.len(),
-        "obs grid failed cells: {:?}",
-        obs_grid.failed
-    );
-    let cell_sum: u64 = obs_grid.cells_committed.iter().flatten().sum();
-    assert_eq!(
-        obs_grid.counters.committed, cell_sum,
-        "merged counter sums diverged from per-cell commit counts"
-    );
-    let obs_grid_ns = obs_grid_s * 1e9 / sweep_insts;
-    let obs_grid_overhead_pct = (obs_grid_s - replay_s) / replay_s * 100.0;
-    eprintln!(
-        "  probed grid {obs_grid_s:.2} s ({obs_grid_ns:.0} ns/inst, \
-         {obs_grid_overhead_pct:+.1}% vs probe-off sweep); merged sums check out"
-    );
-
-    // 8a. Sampled-vs-full error study: every suite benchmark and every
+    // 5a. Sampled-vs-full error study: every suite benchmark and every
     // curated scenario (20-stage, ARVI current value) estimated at
     // 1-in-{2,4,8} sampling rates against its full-run ground truth.
     let err_workloads: Vec<Workload> = Workload::suite()
@@ -659,25 +551,21 @@ fn main() {
         ]));
     }
 
-    // 8b. The long-window speedup guardrail: one cell, run full-length
+    // 5b. The long-window speedup guardrail: one cell, run full-length
     // serially vs sampled at 1-in-8 with per-unit fan-out. This is the
     // case interval sampling exists for — a window too long to wait on
     // serially, turned into embarrassingly parallel units. The cell is
     // the stationary history-3 scenario: the ratio estimator's
     // assumptions hold there, so the measured error is the sampling
     // machinery's own bias, not program phase structure (the suite
-    // benchmarks' phase behaviour is quantified honestly in 8a). The
+    // benchmarks' phase behaviour is quantified honestly in 5a). The
     // plan's 200k-instruction warm-up covers the slowest-filling
     // microarchitectural state and its 200k detail windows amortize
     // the warm cost at 1-in-8 coverage, which is what pushes the
     // serial work reduction past 4x even on a single core. Same window
     // in quick and full mode — a guardrail metric must not change
     // meaning with the mode.
-    let long_spec = Spec {
-        warmup: 20_000,
-        measure: 8_000_000,
-        seed: 42,
-    };
+    let long_spec = window(20_000, 8_000_000);
     let long_workload =
         Workload::scenario(arvi_synth::find("history-3").expect("curated scenario exists"));
     eprintln!(
@@ -687,94 +575,84 @@ fn main() {
     let long_trace = Arc::new(record_trace(&long_workload, long_spec));
     let long_params = SimParams::for_depth(Depth::D20);
     let long_plan = SamplePlan::systematic(8, 200_000, 200_000);
-    let mut full_long_s = f64::INFINITY;
-    let mut sampled_long_s = f64::INFINITY;
     let mut full_long_ipc = 0.0;
     let mut long_report = None;
-    for _ in 0..2 {
-        let t0 = Instant::now();
-        let r = run_one_traced(
-            &long_trace,
-            Depth::D20,
-            PredictorConfig::ArviCurrent,
-            long_spec,
-        );
-        full_long_s = full_long_s.min(t0.elapsed().as_secs_f64());
-        full_long_ipc = r.window.ipc();
-
-        let t0 = Instant::now();
-        let report = sample_region(
-            &long_trace,
-            &long_params,
-            PredictorConfig::ArviCurrent,
-            &long_plan,
-            long_spec.warmup,
-            long_spec.measure,
-            long_spec.seed,
-            threads,
-        )
-        .expect("sampling the long window");
-        sampled_long_s = sampled_long_s.min(t0.elapsed().as_secs_f64());
-        long_report = Some(report);
-    }
+    let long = interleaved(
+        2,
+        &mut [
+            &mut || {
+                let r = run_one_traced(
+                    &long_trace,
+                    Depth::D20,
+                    PredictorConfig::ArviCurrent,
+                    long_spec,
+                );
+                full_long_ipc = r.window.ipc();
+            },
+            &mut || {
+                let report = sample_region(
+                    &long_trace,
+                    &long_params,
+                    PredictorConfig::ArviCurrent,
+                    &long_plan,
+                    long_spec.warmup,
+                    long_spec.measure,
+                    long_spec.seed,
+                    threads,
+                )
+                .expect("sampling the long window");
+                long_report = Some(report);
+            },
+        ],
+    );
     let long_report = long_report.unwrap();
+    let (full_long_s, sampled_long_s) = (long[0].min, long[1].min);
     let sampled_speedup = full_long_s / sampled_long_s;
     let sampled_ipc_abs_error =
         (long_report.ipc.mean - full_long_ipc).abs() / full_long_ipc * 100.0;
     let long_within = long_report.ipc.ci_contains(full_long_ipc);
     eprintln!(
         "  full serial {full_long_s:.2} s (IPC {full_long_ipc:.4}) vs sampled {sampled_long_s:.2} s \
-         (IPC {:.4} ± {:.4}, {} units): {sampled_speedup:.1}x speedup, |IPC err| {sampled_ipc_abs_error:.2}%, \
-         true value {} the 95% CI",
+         (IPC {:.4} ± {:.4}, {} units): {sampled_speedup:.1}x speedup (sampled {}), \
+         |IPC err| {sampled_ipc_abs_error:.2}%, true value {} the 95% CI",
         long_report.ipc.mean,
         long_report.ipc.ci_half_width(),
         long_report.units(),
+        versus(long[1], long[0]),
         if long_within { "inside" } else { "OUTSIDE" },
     );
 
-    let side = |m: &MachineSide| {
+    let machine = |ns: &[f64]| {
         Json::obj([
-            ("wheel_ns_per_inst", Json::Num(m.wheel_ns)),
-            ("heap_baseline_ns_per_inst", Json::Num(m.heap_ns)),
-            ("speedup_vs_heap", Json::Num(m.heap_ns / m.wheel_ns)),
+            ("wheel_ns_per_inst", Json::Num(ns[0])),
+            ("heap_baseline_ns_per_inst", Json::Num(ns[1])),
+            ("speedup_vs_heap", Json::Num(ns[1] / ns[0])),
             ("cycle_identical", Json::Bool(true)),
         ])
     };
-    let report = Json::obj([
-        ("pr", Json::Num(9.0)),
-        (
-            "title",
-            Json::str("sampled simulation: interval sampling, intra-run parallelism and CIs"),
-        ),
-        (
-            "host_cores",
-            Json::Num(arvi_bench::default_threads() as f64),
-        ),
-        ("quick", Json::Bool(quick)),
+    let mut report = report_header(&out_path, quick);
+    report.extend([
         (
             "branch_path",
             Json::obj([
                 ("workload", Json::str("m88ksim")),
                 ("update_window_branches", Json::Num(8.0)),
-                ("packed_ns_per_branch", Json::Num(branch.packed_ns)),
-                ("scalar_baseline_ns_per_branch", Json::Num(branch.scalar_ns)),
-                (
-                    "speedup_vs_scalar",
-                    Json::Num(branch.scalar_ns / branch.packed_ns),
-                ),
+                ("packed_ns_per_branch", Json::Num(packed_ns)),
+                ("scalar_baseline_ns_per_branch", Json::Num(scalar_ns)),
+                ("speedup_vs_scalar", Json::Num(scalar_ns / packed_ns)),
                 ("stream_identical", Json::Bool(true)),
                 (
                     "pressure",
                     Json::obj([
                         ("sites", Json::Num(60_000.0)),
-                        ("packed_ns_per_branch", Json::Num(pressure.packed_ns)),
+                        ("packed_ns_per_branch", Json::Num(pressure_packed_ns)),
                         (
                             "scalar_baseline_ns_per_branch",
-                            Json::Num(pressure.scalar_ns),
+                            Json::Num(pressure_scalar_ns),
                         ),
                         (
                             "speedup_vs_scalar",
-                            Json::Num(pressure.scalar_ns / pressure.packed_ns),
+                            Json::Num(pressure_scalar_ns / pressure_packed_ns),
                         ),
                     ]),
                 ),
@@ -784,22 +662,19 @@ fn main() {
             "machine",
             Json::obj([
                 ("workload", Json::str("m88ksim")),
-                (
-                    "insts",
-                    Json::Num((micro_spec.warmup + micro_spec.measure) as f64),
-                ),
+                ("insts", Json::Num(insts as f64)),
                 ("depth_stages", Json::Num(20.0)),
-                ("gskew", side(&gskew)),
-                ("arvi_current", side(&arvi)),
+                ("gskew", machine(&gskew_ns)),
+                ("arvi_current", machine(&arvi_ns)),
             ]),
         ),
         (
             "ddt",
             Json::obj([
                 ("iters", Json::Num(ddt_iters as f64)),
-                ("fast_ns_per_insert", Json::Num(ddt.fast_ns)),
-                ("naive_ns_per_insert", Json::Num(ddt.naive_ns)),
-                ("speedup_vs_naive", Json::Num(ddt.naive_ns / ddt.fast_ns)),
+                ("fast_ns_per_insert", Json::Num(ddt_fast_ns)),
+                ("naive_ns_per_insert", Json::Num(ddt_naive_ns)),
+                ("speedup_vs_naive", Json::Num(ddt_naive_ns / ddt_fast_ns)),
             ]),
         ),
         (
@@ -812,12 +687,7 @@ fn main() {
                 ("points", Json::Num(points.len() as f64)),
                 ("threads", Json::Num(threads as f64)),
                 ("replayed_s", Json::Num(replay_s)),
-                ("emulated_s", Json::Num(emulated_s)),
                 ("ns_per_inst", Json::Num(sweep_ns)),
-                ("bit_identical", Json::Bool(true)),
-                ("resilient_s", Json::Num(resilient_s)),
-                ("resilient_overhead_pct", Json::Num(resilient_overhead_pct)),
-                ("resilient_bit_identical", Json::Bool(true)),
             ]),
         ),
         (
@@ -825,34 +695,15 @@ fn main() {
             Json::obj([
                 ("workload", Json::str("m88ksim")),
                 ("config", Json::str("arvi_current")),
-                (
-                    "insts",
-                    Json::Num((micro_spec.warmup + micro_spec.measure) as f64),
-                ),
-                ("off_ns_per_inst", Json::Num(probe.off_ns)),
-                ("counters_ns_per_inst", Json::Num(probe.counters_ns)),
+                ("insts", Json::Num(insts as f64)),
+                ("off_ns_per_inst", Json::Num(arvi_ns[0])),
+                ("counters_ns_per_inst", Json::Num(arvi_ns[2])),
                 ("counters_overhead_pct", Json::Num(counters_overhead_pct)),
-                ("full_ns_per_inst", Json::Num(probe.full_ns)),
+                ("counters_spread_pct", Json::Num(counters_spread_pct)),
+                ("full_ns_per_inst", Json::Num(arvi_ns[3])),
                 ("full_overhead_pct", Json::Num(full_overhead_pct)),
+                ("full_spread_pct", Json::Num(full_spread_pct)),
                 ("bit_identical", Json::Bool(true)),
-            ]),
-        ),
-        (
-            "obs_grid",
-            Json::obj([
-                (
-                    "grid",
-                    Json::str("fig6 quick (8 benchmarks x 4 configs, 20-stage)"),
-                ),
-                ("cells", Json::Num(points.len() as f64)),
-                ("threads", Json::Num(threads as f64)),
-                ("probed_s", Json::Num(obs_grid_s)),
-                ("ns_per_inst", Json::Num(obs_grid_ns)),
-                (
-                    "overhead_pct_vs_strict_sweep",
-                    Json::Num(obs_grid_overhead_pct),
-                ),
-                ("counter_sums_match_cells", Json::Bool(true)),
             ]),
         ),
         (
@@ -897,29 +748,29 @@ fn main() {
         (
             "guardrail",
             Json::obj([
-                ("branch_gskew_ns_per_branch", Json::Num(branch.packed_ns)),
+                ("branch_gskew_ns_per_branch", Json::Num(packed_ns)),
                 (
                     "branch_gskew_speedup_vs_scalar",
-                    Json::Num(branch.scalar_ns / branch.packed_ns),
+                    Json::Num(scalar_ns / packed_ns),
                 ),
                 (
                     "branch_pressure_speedup_vs_scalar",
-                    Json::Num(pressure.scalar_ns / pressure.packed_ns),
+                    Json::Num(pressure_scalar_ns / pressure_packed_ns),
                 ),
-                ("machine_gskew_ns_per_inst", Json::Num(gskew.wheel_ns)),
-                ("machine_arvi_ns_per_inst", Json::Num(arvi.wheel_ns)),
+                ("machine_gskew_ns_per_inst", Json::Num(gskew_ns[0])),
+                ("machine_arvi_ns_per_inst", Json::Num(arvi_ns[0])),
                 (
                     "machine_gskew_speedup_vs_heap",
-                    Json::Num(gskew.heap_ns / gskew.wheel_ns),
+                    Json::Num(gskew_ns[1] / gskew_ns[0]),
                 ),
                 (
                     "machine_arvi_speedup_vs_heap",
-                    Json::Num(arvi.heap_ns / arvi.wheel_ns),
+                    Json::Num(arvi_ns[1] / arvi_ns[0]),
                 ),
-                ("ddt_insert_ns", Json::Num(ddt.fast_ns)),
+                ("ddt_insert_ns", Json::Num(ddt_fast_ns)),
                 (
                     "ddt_insert_speedup_vs_naive",
-                    Json::Num(ddt.naive_ns / ddt.fast_ns),
+                    Json::Num(ddt_naive_ns / ddt_fast_ns),
                 ),
                 ("sweep_ns_per_inst", Json::Num(sweep_ns)),
                 ("sampled_speedup_vs_full", Json::Num(sampled_speedup)),
@@ -927,7 +778,68 @@ fn main() {
             ]),
         ),
     ]);
-    write_report(std::path::Path::new(&out_path), &report).expect("write BENCH json");
-    eprintln!("perf_report: wrote {out_path}");
+    let report = Json::obj(report);
+    write_report(&out_path, &report).expect("write the report");
+    eprintln!("perf_report: wrote {}", out_path.display());
     println!("{}", report.render());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn interleaved_runs_each_side_reps_times_in_strict_alternation() {
+        let order = std::cell::RefCell::new(String::new());
+        let spans = interleaved(
+            4,
+            &mut [
+                &mut || order.borrow_mut().push('a'),
+                &mut || order.borrow_mut().push('b'),
+                &mut || order.borrow_mut().push('c'),
+            ],
+        );
+        assert_eq!(order.into_inner(), "abcabcabcabc");
+        assert_eq!(spans.len(), 3);
+        for s in spans {
+            assert!(s.min.is_finite() && s.min <= s.max, "{s:?}");
+        }
+    }
+
+    #[test]
+    fn an_overhead_inside_its_spread_is_unresolved() {
+        let span = |min, max| Span { min, max };
+        // +5% against a 2% spread resolves; +5% against a 10% spread
+        // (either side's) does not.
+        assert_eq!(
+            versus(span(1.05, 1.06), span(1.0, 1.02)),
+            "+5.0%, spread 2.0%"
+        );
+        assert_eq!(
+            versus(span(1.05, 1.06), span(1.0, 1.1)),
+            "unresolved, spread 10.0%"
+        );
+        assert_eq!(
+            versus(span(1.05, 1.155), span(1.0, 1.0)),
+            "unresolved, spread 10.0%"
+        );
+    }
+
+    #[test]
+    fn a_ledger_report_is_labelled_from_its_file_name() {
+        let dir = std::env::temp_dir().join(format!("arvi-perf-report-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCH_PR42.json");
+        write_report(&path, &Json::obj(report_header(&path, true))).unwrap();
+        let files = arvi_bench::load_bench_history(&dir).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(files.len(), 1);
+        // The `pr` field agrees with the name: no mislabel warning.
+        assert_eq!(files[0].pr, 42);
+        assert_eq!(files[0].json.num("pr"), Some(42.0));
+        // A scratch report (not a ledger name) carries no `pr` at all.
+        let scratch = report_header(Path::new("out/bench-smoke.json"), true);
+        assert!(scratch.iter().all(|(k, _)| *k != "pr"));
+    }
 }

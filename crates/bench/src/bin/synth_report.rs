@@ -26,9 +26,9 @@
 use std::sync::Arc;
 
 use arvi_bench::{
-    grid, handle_list_flags, maybe_obs_pass, obs_from_args, run_grid, scenario_workloads_from_args,
-    threads_from_args, trace_dir_from_args, write_report, Jobs, Json, Resilience, Spec, TraceSet,
-    Workload,
+    flag_value, grid, handle_list_flags, maybe_obs_pass, obs_from_args, run_grid,
+    scenario_workloads_from_args, threads_from_args, trace_dir_from_args, write_report, Jobs, Json,
+    Resilience, Spec, TraceSet, Workload,
 };
 use arvi_predict::{Bimodal, DirectionPredictor, Gshare, GskewConfig, Local, TwoBcGskew};
 use arvi_sim::{Depth, PredictorConfig, SimResult};
@@ -157,19 +157,19 @@ fn main() {
         return;
     }
     let quick = args.iter().any(|a| a == "--quick");
-    let flags = threads_from_args(&args)
-        .and_then(|threads| Ok((threads, trace_dir_from_args(&args)?, obs_from_args(&args)?)));
-    let (threads, trace_dir, obs) = flags.unwrap_or_else(|e| {
+    let flags = threads_from_args(&args).and_then(|threads| {
+        let out = flag_value(&args, "--out")?.map_or("BENCH_PR3.json", String::as_str);
+        Ok((
+            threads,
+            trace_dir_from_args(&args)?,
+            obs_from_args(&args)?,
+            out,
+        ))
+    });
+    let (threads, trace_dir, obs, out_path) = flags.unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(2);
     });
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-        .unwrap_or("BENCH_PR3.json")
-        .to_string();
     let spec = if quick {
         Spec::quick()
     } else {

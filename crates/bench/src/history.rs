@@ -87,11 +87,7 @@ pub fn load_bench_history(dir: &Path) -> Result<Vec<BenchFile>, String> {
     for entry in entries {
         let entry = entry.map_err(|e| format!("cannot read {}", io_error_at(dir, e)))?;
         let name = entry.file_name().to_string_lossy().into_owned();
-        let Some(pr) = name
-            .strip_prefix("BENCH_PR")
-            .and_then(|rest| rest.strip_suffix(".json"))
-            .and_then(|n| n.parse::<u64>().ok())
-        else {
+        let Some(pr) = bench_file_pr(&name) else {
             continue;
         };
         let path = entry.path();
@@ -110,6 +106,17 @@ pub fn load_bench_history(dir: &Path) -> Result<Vec<BenchFile>, String> {
     }
     files.sort_by_key(|f| f.pr);
     Ok(files)
+}
+
+/// The PR number `N` of a report file named `BENCH_PR<N>.json`; `None`
+/// for any other file name. `perf_report` stamps its `"pr"` field from
+/// this, so a report always agrees with the name it is written under.
+pub fn bench_file_pr(file_name: &str) -> Option<u64> {
+    file_name
+        .strip_prefix("BENCH_PR")?
+        .strip_suffix(".json")?
+        .parse()
+        .ok()
 }
 
 /// The warning for a report whose `"pr"` field disagrees with the PR
@@ -517,6 +524,10 @@ mod tests {
         assert_eq!(files[0].pr, 9);
         assert_eq!(files[1].pr, 10);
         assert_eq!(files[1].file, "BENCH_PR10.json");
+        assert_eq!(bench_file_pr("BENCH_PR7.json"), Some(7));
+        for other in ["BENCH_BASELINE.json", "BENCH_PR.json", "bench-smoke.json"] {
+            assert_eq!(bench_file_pr(other), None, "{other}");
+        }
     }
 
     #[test]

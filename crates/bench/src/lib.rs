@@ -13,10 +13,10 @@
 //!   four configurations at a given pipeline depth.
 //! * `experiments` — the full sweep, emitting every figure and the
 //!   headline averages.
-//! * `perf_report` — quantifies the hot paths (calendar-queue machine
-//!   vs the preserved heap baseline, DDT vs the naive baseline, the
-//!   replayed sweep), emitting a machine-readable `BENCH_*.json` whose
-//!   `guardrail` section feeds the CI perf gate.
+//! * `perf_report` — times the hot paths against their preserved
+//!   baselines in one interleaved loop (branch path, machine with and
+//!   without probes, DDT), plus the replayed sweep and sampling, into the
+//!   required `--out` JSON whose `guardrail` section feeds the CI gate.
 //! * `perf_guard` — the CI perf-regression gate: compares a fresh
 //!   `perf_report` JSON against the checked-in `BENCH_BASELINE.json`
 //!   with per-metric tolerance bands and prints a markdown delta
@@ -87,10 +87,12 @@ pub mod workload;
 
 pub use arvi_obs::codec::{counters_from_json, counters_to_json, sites_from_json, sites_to_json};
 pub use branch_stream::{conditional_branches, run_delayed, run_delayed_scalar, StreamRun};
-pub use events::{EventLog, SweepTelemetry};
+pub use events::EventLog;
 pub use guard::{evaluate_guardrail, trend_flags, GuardOutcome, MetricRow, MetricStatus};
 pub use harness::{fig5_tables, paper_tables, run_one_traced, Fig6Data, Spec};
-pub use history::{bench_history, load_bench_history, BenchFile, HistoryReport, MetricTrend};
+pub use history::{
+    bench_file_pr, bench_history, load_bench_history, BenchFile, HistoryReport, MetricTrend,
+};
 pub use obs::{maybe_obs_pass, obs_from_args, run_obs_pass, ObsConfig, ObsReport, WorkloadObs};
 pub use obs_grid::{
     attribution_diff, maybe_obs_grid, obs_grid_json, Attribution, ObsGrid, ObsGroup, SiteDelta,
@@ -128,7 +130,6 @@ const FLAGS: &[(&str, bool)] = &[
     ("--fault-plan", true),
     ("--deadline-ms", true),
     ("--events-out", true),
-    ("--metrics-out", true),
     ("--probe", true),
     ("--obs-out", true),
     ("--obs-grid", true),
@@ -269,8 +270,9 @@ fn positional_from_args(args: &[String], positionals: &[&str]) -> Result<Option<
 }
 
 /// The value of `flag` in `args`: `Ok(None)` when the flag is absent, an
-/// error when it is the last argument or followed by another flag.
-pub(crate) fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a String>, String> {
+/// error when it is the last argument or followed by another flag. Every
+/// binary reads its value flags through this; they exit 2 on the error.
+pub fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a String>, String> {
     match args.iter().position(|a| a == flag) {
         None => Ok(None),
         Some(i) => args
@@ -318,8 +320,6 @@ pub fn trace_dir_from_args(args: &[String]) -> Result<Option<PathBuf>, String> {
 /// * `--events-out FILE` — write a JSONL span log of sweep execution
 ///   events (cell start/end, record/replay/live phase, quarantines,
 ///   resume hits) to `FILE`.
-/// * `--metrics-out FILE` — write cumulative sweep counters to `FILE`
-///   in Prometheus text exposition format after every sweep.
 ///
 /// Errors name the malformed flag.
 pub fn resilience_from_args(args: &[String]) -> Result<Resilience, String> {
@@ -346,15 +346,10 @@ pub fn resilience_from_args(args: &[String]) -> Result<Resilience, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
         res.plan = Some(std::sync::Arc::new(FaultPlan::parse(&text)?));
     }
-    let events_out = flag_value(args, "--events-out")?;
-    let metrics_out = flag_value(args, "--metrics-out")?;
-    if events_out.is_some() || metrics_out.is_some() {
-        let telemetry = SweepTelemetry::from_paths(
-            events_out.map(std::path::Path::new),
-            metrics_out.map(std::path::Path::new),
-        )
-        .map_err(|e| format!("cannot open telemetry sink: {e}"))?;
-        res.telemetry = Some(std::sync::Arc::new(telemetry));
+    if let Some(path) = flag_value(args, "--events-out")? {
+        let log = EventLog::create(std::path::Path::new(path))
+            .map_err(|e| format!("cannot open event log: {e}"))?;
+        res.events = Some(std::sync::Arc::new(log));
     }
     Ok(res)
 }
@@ -548,7 +543,7 @@ mod tests {
     #[test]
     fn resilience_flags_parse() {
         let r = resilience_from_args(&args(&["--quick", "--threads", "2"])).unwrap();
-        assert!(r.journal.is_none() && !r.resume && r.plan.is_none() && r.telemetry.is_none());
+        assert!(r.journal.is_none() && !r.resume && r.plan.is_none() && r.events.is_none());
         let r = resilience_from_args(&args(&["--journal", "j.log"])).unwrap();
         assert_eq!(r.journal.as_deref(), Some(std::path::Path::new("j.log")));
         assert!(!r.resume);
@@ -572,13 +567,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let events = dir.join("events.jsonl");
         let r = resilience_from_args(&args(&["--events-out", events.to_str().unwrap()])).unwrap();
-        let t = r.telemetry.as_ref().expect("telemetry configured");
-        assert_eq!(t.events().unwrap().path(), events);
+        assert!(r.events.is_some(), "event log opened");
         assert!(events.exists(), "log created eagerly, with parents");
-        // Metrics alone also counts; no event log in that case.
-        let metrics = dir.join("metrics.prom");
-        let r = resilience_from_args(&args(&["--metrics-out", metrics.to_str().unwrap()])).unwrap();
-        assert!(r.telemetry.as_ref().unwrap().events().is_none());
         assert!(resilience_from_args(&args(&["--events-out"])).is_err());
         // An unopenable sink is a flag error, and it names the path.
         std::fs::write(dir.join("blocker"), "x").unwrap();
@@ -620,6 +610,20 @@ mod tests {
                 .contains("unexpected argument `20`"),
             "fig5 and experiments take no positional"
         );
+        // A value flag that is last or followed by another flag has no
+        // value: `--out --dir x` must not write a file named `--dir`.
+        assert_eq!(
+            flag_value(&args(&["--dir", "x", "--out", "f.json"]), "--out").unwrap(),
+            Some(&"f.json".to_string())
+        );
+        assert_eq!(flag_value(&args(&["--dir", "x"]), "--out").unwrap(), None);
+        for bad in [&["--out", "--dir", "x"][..], &["--dir", "x", "--out"]] {
+            assert_eq!(
+                flag_value(&args(bad), "--out").unwrap_err(),
+                "--out needs a value",
+                "{bad:?}"
+            );
+        }
         assert_eq!(threads_from_args(&args(&["--threads", "3"])).unwrap(), 3);
         assert!(threads_from_args(&args(&["--quick"])).unwrap() >= 1);
         for bad in [

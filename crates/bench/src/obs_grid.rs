@@ -33,7 +33,7 @@ use arvi_obs::codec::{counters_to_json, sites_from_json, sites_to_json, top_site
 use arvi_obs::{CounterProbe, SiteProbe};
 use arvi_sim::PredictorConfig;
 
-use crate::events::SweepTelemetry;
+use crate::events::EventLog;
 use crate::harness::Spec;
 use crate::report::{write_text, Json};
 use crate::resilience::CellOutcome;
@@ -89,17 +89,13 @@ impl ObsGrid {
     /// deterministic regardless of which worker finished which cell
     /// first, and restored telemetry is byte-identical to re-simulated
     /// telemetry (the journal codec is full-fidelity). Simulates nothing.
-    /// Emits `obs_grid_end` on `telemetry` (`dur_us` is the fold's own
+    /// Emits `obs_grid_end` on `events` (`dur_us` is the fold's own
     /// time).
     ///
     /// # Panics
     ///
     /// Panics if a completed cell of `sweep` carries no probes.
-    pub fn from_sweep(
-        sweep: &SampledSweep,
-        spec: Spec,
-        telemetry: Option<&SweepTelemetry>,
-    ) -> ObsGrid {
+    pub fn from_sweep(sweep: &SampledSweep, spec: Spec, events: Option<&EventLog>) -> ObsGrid {
         let start = Instant::now();
         let points = &sweep.points;
         let mut grid = ObsGrid {
@@ -145,8 +141,8 @@ impl ObsGrid {
                 }),
             }
         }
-        if let Some(t) = telemetry {
-            t.event(
+        if let Some(log) = events {
+            log.emit(
                 "obs_grid_end",
                 vec![
                     ("cells", Json::Num(grid.total as f64)),
@@ -488,7 +484,7 @@ impl Attribution {
 pub fn maybe_obs_grid(run: &Run, sweep: &SampledSweep) {
     let Some(cfg) = run.obs.as_ref() else { return };
     let Some(out) = &cfg.grid else { return };
-    let grid = ObsGrid::from_sweep(sweep, run.spec, run.res.telemetry.as_deref());
+    let grid = ObsGrid::from_sweep(sweep, run.spec, run.res.events.as_deref());
     let json = obs_grid_json(&grid, cfg.top_sites);
     if let Err(e) = write_text(out, &(json.render_compact() + "\n")) {
         eprintln!("error: cannot write obs grid rollup: {e}");
@@ -530,7 +526,7 @@ mod tests {
         let points = grid(&workloads, &[Depth::D20], &PredictorConfig::all());
         let res = Resilience::default().with_plan(FaultPlan::parse("panic-cell 1").unwrap());
         let sweep = run_grid(&points, spec, Jobs::Probed, 2, false, None, &res);
-        let g = ObsGrid::from_sweep(&sweep, spec, res.telemetry.as_deref());
+        let g = ObsGrid::from_sweep(&sweep, spec, res.events.as_deref());
         assert_eq!(g.completed, points.len() - 1);
         let [(cell, point, reason)] = &g.failed[..] else {
             panic!("expected exactly cell 1 to fail: {:?}", g.failed);

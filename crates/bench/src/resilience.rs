@@ -49,7 +49,7 @@ use arvi_stats::Accuracy;
 use arvi_trace::{StdIo, Trace, TraceError, TraceIo, TraceReplayer, REPLAY_PANIC_PREFIX};
 use arvi_workloads::WorkloadSource;
 
-use crate::events::SweepTelemetry;
+use crate::events::EventLog;
 use crate::harness::Spec;
 use crate::report::{io_error_at, Json};
 use crate::sampling::{assemble_cell, run_unit_job, unit_fingerprint, SampledSweep, UnitDone};
@@ -188,9 +188,9 @@ pub struct Resilience {
     pub deadline: Option<Duration>,
     /// Deterministic fault plan (testing/CI only).
     pub plan: Option<Arc<FaultPlan>>,
-    /// Structured execution telemetry (event log + metrics export).
-    /// Shared with the trace recorder, hence the `Arc`.
-    pub telemetry: Option<Arc<SweepTelemetry>>,
+    /// The `--events-out` log of sweep execution events. Shared with
+    /// the trace recorder, hence the `Arc`.
+    pub events: Option<Arc<EventLog>>,
 }
 
 impl Resilience {
@@ -830,10 +830,10 @@ pub fn run_grid(
             jobs.len(),
         );
     }
-    let telemetry = res.telemetry.as_deref();
+    let events = res.events.as_deref();
     let sweep_start = Instant::now();
-    if let Some(t) = telemetry {
-        t.event(
+    if let Some(log) = events {
+        log.emit(
             "sweep_start",
             vec![
                 ("cells", Json::Num(points.len() as f64)),
@@ -845,8 +845,8 @@ pub fn run_grid(
         if progress {
             eprintln!("sweep: {point}");
         }
-        if let Some(t) = telemetry {
-            t.event(
+        if let Some(log) = events {
+            log.emit(
                 "cell_start",
                 vec![
                     ("cell", Json::Num(i as f64)),
@@ -869,8 +869,8 @@ pub fn run_grid(
                         journal.append(cell_fingerprint(point, spec), s);
                     }
                 }
-                if let Some(t) = telemetry {
-                    emit_cell_events(t, i, point, &outcome, traces.is_some());
+                if let Some(log) = events {
+                    emit_cell_events(log, i, point, &outcome, traces.is_some());
                 }
                 Done::Cell(outcome)
             }
@@ -926,20 +926,16 @@ pub fn run_grid(
                 (outcome, report, started)
             }
         };
-        if let Some(t) = telemetry {
-            // A cell a kill stopped mid-way still closes with a
-            // `skipped` cell_end; one never started is only counted.
-            if started {
-                emit_cell_events(t, i, point, &outcome, true);
-            } else if matches!(outcome, CellOutcome::Skipped) {
-                t.cell_finished("skipped", None, false, None);
-            }
+        // A cell a kill stopped mid-way still closes with a `skipped`
+        // cell_end; one never started logs nothing.
+        if let (Some(log), true) = (events, started) {
+            emit_cell_events(log, i, point, &outcome, true);
         }
         sweep.outcomes.push(outcome);
         sweep.reports.push(report);
     }
-    if let Some(t) = telemetry {
-        t.event(
+    if let Some(log) = events {
+        log.emit(
             "sweep_end",
             vec![
                 ("cells", Json::Num(points.len() as f64)),
@@ -959,7 +955,6 @@ pub fn run_grid(
                 ),
             ],
         );
-        t.sweep_finished();
     }
     sweep
 }
@@ -982,7 +977,7 @@ fn usable_trace<'t>(
     Some((trace, degradation))
 }
 
-/// The normalized outcome key used in events and metric labels.
+/// The normalized outcome key used in `cell_end` events.
 fn outcome_key(outcome: &CellOutcome) -> &'static str {
     match outcome {
         CellOutcome::Ok(_) => "ok",
@@ -993,26 +988,30 @@ fn outcome_key(outcome: &CellOutcome) -> &'static str {
     }
 }
 
-/// Emits the `cell_end` event (plus `resume_hit` for journal hits) and
-/// updates the cumulative metrics for one dispatched cell.
+/// Emits the `cell_end` event (plus `resume_hit` for journal hits) for
+/// one dispatched cell.
 fn emit_cell_events(
-    t: &SweepTelemetry,
+    log: &EventLog,
     i: usize,
     point: &SweepPoint,
     outcome: &CellOutcome,
     traced: bool,
 ) {
-    let key = outcome_key(outcome);
     let mut fields = vec![
         ("cell", Json::Num(i as f64)),
         ("point", Json::str(point.to_string())),
-        ("outcome", Json::str(key)),
+        ("outcome", Json::str(outcome_key(outcome))),
     ];
-    let mut simulated_duration = None;
-    let mut resumed = false;
-    let mut degraded = None;
     if let CellOutcome::Ok(s) = outcome {
-        resumed = s.resumed;
+        if s.resumed {
+            log.emit(
+                "resume_hit",
+                vec![
+                    ("cell", Json::Num(i as f64)),
+                    ("point", Json::str(point.to_string())),
+                ],
+            );
+        }
         let phase = if s.resumed {
             "resumed"
         } else if s.degradation == Degradation::LiveEmulation || !traced {
@@ -1022,27 +1021,13 @@ fn emit_cell_events(
         };
         fields.push(("phase", Json::str(phase)));
         if s.degradation != Degradation::None {
-            degraded = Some(s.degradation.tag());
             fields.push(("degraded", Json::str(s.degradation.tag())));
         }
         fields.push(("dur_us", Json::Num(s.duration.as_micros() as f64)));
-        if !s.resumed {
-            simulated_duration = Some(s.duration);
-        }
     } else if let Some(reason) = outcome.failure() {
         fields.push(("reason", Json::str(reason)));
     }
-    if resumed {
-        t.event(
-            "resume_hit",
-            vec![
-                ("cell", Json::Num(i as f64)),
-                ("point", Json::str(point.to_string())),
-            ],
-        );
-    }
-    t.event("cell_end", fields);
-    t.cell_finished(key, simulated_duration, resumed, degraded);
+    log.emit("cell_end", fields);
 }
 
 /// Runs (or restores) one whole cell under `res`, with the counter and

@@ -466,8 +466,8 @@ mod tests {
         let mut res = Resilience::default()
             .with_journal(&journal)
             .with_plan(crate::resilience::FaultPlan::parse("kill-after 2").unwrap());
-        res.telemetry = Some(std::sync::Arc::new(
-            crate::events::SweepTelemetry::from_paths(Some(&events), None).unwrap(),
+        res.events = Some(std::sync::Arc::new(
+            crate::events::EventLog::create(&events).unwrap(),
         ));
         let jobs = Jobs::Sampled(&plan);
         let partial = run_grid(&points, spec, jobs, 1, false, Some(&traces), &res);

@@ -28,7 +28,7 @@ use arvi_sim::{execute, Depth, PredictorConfig};
 use arvi_trace::{StdIo, Trace, TraceIo, TraceReplayer};
 use arvi_workloads::WorkloadSource;
 
-use crate::events::SweepTelemetry;
+use crate::events::EventLog;
 use crate::harness::Spec;
 use crate::report::Json;
 use crate::resilience::Resilience;
@@ -143,8 +143,8 @@ impl TraceSet {
     /// silently re-recorded and overwritten. Writes are atomic
     /// (temp file + fsync + rename) and persistence failures only warn
     /// (the in-memory recording still serves the sweep). `res`'s fault
-    /// plan, if any, is injected into trace reads, and its telemetry
-    /// logs the record phase and every quarantine.
+    /// plan, if any, is injected into trace reads, and its event log
+    /// gets the record phase and every quarantine.
     pub fn record(
         workloads: &[Workload],
         spec: Spec,
@@ -162,19 +162,19 @@ impl TraceSet {
             Some(faulty) => faulty,
             None => &StdIo,
         };
-        let telemetry = res.telemetry.as_deref();
-        if let Some(t) = telemetry {
-            t.event(
+        let events = res.events.as_deref();
+        if let Some(log) = events {
+            log.emit(
                 "record_start",
                 vec![("workloads", Json::Num(workloads.len() as f64))],
             );
         }
         let start = Instant::now();
         let traces = par_map(workloads, threads, |workload| {
-            Self::obtain(workload, spec, dir, io, telemetry)
+            Self::obtain(workload, spec, dir, io, events)
         });
-        if let Some(t) = telemetry {
-            t.record_phase(workloads.len(), start.elapsed());
+        if let Some(log) = events {
+            log.record_phase(workloads.len(), start.elapsed());
         }
         TraceSet {
             spec,
@@ -193,7 +193,7 @@ impl TraceSet {
         spec: Spec,
         dir: Option<&Path>,
         io: &dyn TraceIo,
-        telemetry: Option<&SweepTelemetry>,
+        events: Option<&EventLog>,
     ) -> (Option<Trace>, TraceProvenance) {
         let need = trace_len(spec);
         let path = dir.map(|d| d.join(trace_file_name(workload, spec)));
@@ -225,8 +225,8 @@ impl TraceSet {
                                 moved.display()
                             );
                             log_quarantine(dir, path, &e);
-                            if let Some(t) = telemetry {
-                                t.quarantine(&path.display().to_string(), &e.to_string());
+                            if let Some(log) = events {
+                                log.quarantine(&path.display().to_string(), &e.to_string());
                             }
                         }
                         Err(qe) => eprintln!(

@@ -14,16 +14,16 @@
 //!    ARVI-vs-baseline diff names at least one branch PC ARVI fixes
 //!    (the paper's core claim, made falsifiable per site).
 //! 5. **Structured events** — the resilient sweep's `--events-out`
-//!    JSONL log parses line by line with the expected span events, and
-//!    the Prometheus-style metrics export carries the cell outcomes.
+//!    JSONL log parses line by line with the expected span events, one
+//!    `cell_end` per cell.
 
 use std::sync::Arc;
 
 use arvi::sim::{Depth, PredictorConfig};
 use arvi::workloads::Benchmark;
 use arvi_bench::{
-    attribution_diff, grid, obs_grid_json, run_grid, FaultPlan, Jobs, Json, ObsGrid, Resilience,
-    Spec, SweepTelemetry, TraceSet, Workload,
+    attribution_diff, grid, obs_grid_json, run_grid, EventLog, FaultPlan, Jobs, Json, ObsGrid,
+    Resilience, Spec, TraceSet, Workload,
 };
 
 fn tiny_spec() -> Spec {
@@ -222,18 +222,15 @@ fn attribution_names_sites_arvi_fixes_on_datadep() {
 }
 
 #[test]
-fn events_jsonl_and_metrics_export_from_a_resilient_sweep() {
+fn events_jsonl_from_a_resilient_sweep() {
     let spec = tiny_spec();
     let workloads = small_workloads();
     let points = grid(&workloads, &[Depth::D20], &[PredictorConfig::ArviCurrent]);
     let dir = temp_dir("events");
     let events_path = dir.join("logs/events.jsonl");
-    let metrics_path = dir.join("logs/metrics.prom");
 
     let res = Resilience {
-        telemetry: Some(Arc::new(
-            SweepTelemetry::from_paths(Some(&events_path), Some(&metrics_path)).unwrap(),
-        )),
+        events: Some(Arc::new(EventLog::create(&events_path).unwrap())),
         ..Resilience::default()
     };
     let traces = TraceSet::record(&workloads, spec, 2, None, &Resilience::default());
@@ -266,21 +263,6 @@ fn events_jsonl_and_metrics_export_from_a_resilient_sweep() {
         seen.iter().filter(|e| *e == "cell_end").count(),
         points.len(),
         "one cell_end per cell"
-    );
-
-    // The metrics snapshot counts the same outcomes.
-    let metrics = std::fs::read_to_string(&metrics_path).unwrap();
-    assert!(metrics.contains("arvi_sweeps_total 1"), "{metrics}");
-    assert!(
-        metrics.contains(&format!(
-            "arvi_sweep_cells_total{{outcome=\"ok\"}} {}",
-            points.len()
-        )),
-        "{metrics}"
-    );
-    assert!(
-        metrics.contains("# TYPE arvi_sweeps_total counter"),
-        "{metrics}"
     );
     std::fs::remove_dir_all(&dir).ok();
 }
